@@ -3,7 +3,7 @@
    Subcommands:
      chase      run a chase variant on a DLGP file (--batch: a manifest
                 of files, one independent chase per line via Par.Batch)
-     resume     continue a chase from an on-disk checkpoint
+     resume     continue a chase from its write-ahead log (--wal DIR)
      entail     decide the file's queries (Theorem-1 skeleton)
      analyze    termination analysis + engine routing (DESIGN.md §13)
      classify   syntactic class analysis + behavioural probes
@@ -16,7 +16,7 @@
      0  success / everything entailed / fixpoint reached
      1  a query was not entailed
      2  a budget or the deadline stopped the run before a verdict
-     3  usage or input error (bad file, bad checkpoint, bad combination);
+     3  usage or input error (bad file, bad or corrupt WAL, bad combination);
         also analyze/classify --strict with an `unknown' verdict
      124/125  command-line parse errors (cmdliner's own codes) *)
 
@@ -74,23 +74,6 @@ let deadline_arg =
 
 let token_of_deadline deadline =
   Option.map (fun s -> Resilience.Token.create ~deadline_s:s ()) deadline
-
-let checkpoint_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:
-          "Write a resumable checkpoint of the engine state to $(docv) \
-           (atomically, last one wins) at round boundaries.  Derivation \
-           engines only (restricted, frugal, core); resume with \
-           $(b,corechase resume).")
-
-let checkpoint_every_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Write every $(docv)-th round-boundary checkpoint (default 1).")
 
 (* observability (DESIGN.md §8) *)
 let trace_arg =
@@ -233,25 +216,6 @@ let exit_of_outcome = function
   | Resilience.Fixpoint -> exit_ok
   | _ -> exit_stopped
 
-let checkpoint_hook ~engine ~kb_path ~budget = function
-  | None -> None
-  | Some path ->
-      Some
-        (fun state ->
-          Chase.Checkpoint.save ~path ~engine ~kb_path
-            ?kb_digest:(Chase.Checkpoint.digest_of_file kb_path) ~budget state)
-
-(* write every Nth round-boundary state (N = 1: every round) *)
-let hook_with_cadence every hook =
-  match hook with
-  | None -> None
-  | Some save ->
-      let calls = ref 0 in
-      Some
-        (fun state ->
-          incr calls;
-          if !calls mod max 1 every = 0 then save state)
-
 (* --- --wal plumbing (DESIGN.md §16) -------------------------------- *)
 
 let wal_dir_arg =
@@ -282,8 +246,17 @@ let wal_sync_arg =
            before the engine proceeds), $(b,none), or $(b,interval:N).")
 
 let snapshot_every_arg =
+  let cadence_conv =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | Some _ -> Error (`Msg "snapshot-every must be >= 0")
+      | None -> Error (`Msg "expected a non-negative integer")
+    in
+    Arg.conv (parse, Fmt.int)
+  in
   Arg.(
-    value & opt int 0
+    value & opt cadence_conv 0
     & info [ "snapshot-every" ] ~docv:"N"
         ~doc:
           "Write a binary WAL snapshot and rotate to a fresh segment every \
@@ -294,22 +267,6 @@ let open_wal ~sync ~snapshot_every dir =
   match Storage.Wal.open_dir ~sync ~snapshot_every dir with
   | Ok w -> w
   | Error m -> die exit_input "%s" m
-
-let combine_hooks a b =
-  match (a, b) with
-  | None, h | h, None -> h
-  | Some f, Some g ->
-      Some
-        (fun st ->
-          f st;
-          g st)
-
-(* the hint when `resume' is handed WAL data in the checkpoint position *)
-let wal_hint path =
-  if Storage.Wal.looks_like_wal_dir path then Some path
-  else if (not (Sys.is_directory path)) && Storage.Xlog.file_has_magic path
-  then Some (Filename.dirname path)
-  else None
 
 (* --batch: FILE is a manifest of DLGP paths, one per line; every KB is
    chased independently through Par.Batch (DESIGN.md §14).  KBs are
@@ -364,11 +321,10 @@ let run_batch ~file ~variant ~budget ~token ~trace ~metrics ~jobs =
           !worst))
 
 let chase_cmd =
-  let run file variant engine steps atoms deadline ckpt every verbose trace
-      metrics core_scope jobs batch wal wal_sync snap_every =
-    if batch && (ckpt <> None || engine <> None || wal <> None) then
-      die exit_input
-        "--batch cannot be combined with --checkpoint, --engine or --wal";
+  let run file variant engine steps atoms deadline verbose trace metrics
+      core_scope jobs batch wal wal_sync snap_every =
+    if batch && (engine <> None || wal <> None) then
+      die exit_input "--batch cannot be combined with --engine or --wal";
     if batch then begin
       Homo.Core.scoping := core_scope;
       run_batch ~file ~variant ~budget:(budget_of steps atoms)
@@ -376,17 +332,13 @@ let chase_cmd =
     end
     else begin
     let kb = load_kb file in
-    (match (variant, ckpt, wal) with
-    | (Chase.Oblivious | Chase.Skolem), Some _, _
-    | (Chase.Oblivious | Chase.Skolem), _, Some _ ->
+    (match (variant, wal) with
+    | (Chase.Oblivious | Chase.Skolem), Some _ ->
         die exit_input
-          "--checkpoint/--wal requires a derivation engine (restricted, \
-           frugal or core)"
+          "--wal requires a derivation engine (restricted, frugal or core)"
     | _ -> ());
-    (match (engine, ckpt, wal) with
-    | Some _, Some _, _ | Some _, _, Some _ ->
-        die exit_input "--checkpoint/--wal cannot be combined with --engine"
-    | _ -> ());
+    if engine <> None && wal <> None then
+      die exit_input "--wal cannot be combined with --engine";
     Homo.Core.scoping := core_scope;
     Corechase.Par.set_jobs jobs;
     let budget = budget_of steps atoms in
@@ -401,25 +353,12 @@ let chase_cmd =
            continue it (or point --wal at a fresh directory)"
           dir dir
     | _ -> ());
-    let journal, wal_hook =
-      match wal_h with
-      | None -> (None, None)
-      | Some w ->
-          let engine = Chase.variant_name variant in
-          let kb_digest = Chase.Checkpoint.digest_of_file file in
-          ( Some
-              (Storage.Wal.journal w ~engine ~kb_path:file ?kb_digest ~budget
-                 ()),
-            Some
-              (Storage.Wal.checkpoint_hook w ~engine ~kb_path:file ?kb_digest
-                 ~budget ()) )
-    in
-    let checkpoint =
-      combine_hooks
-        (hook_with_cadence every
-           (checkpoint_hook ~engine:(Chase.variant_name variant) ~kb_path:file
-              ~budget ckpt))
-        wal_hook
+    let journal =
+      Option.map
+        (fun w ->
+          Storage.Wal.journal w ~engine:(Chase.variant_name variant)
+            ~kb_path:file ~budget ())
+        wal_h
     in
     Fun.protect
       ~finally:(fun () -> Option.iter Storage.Wal.close wal_h)
@@ -427,7 +366,7 @@ let chase_cmd =
         with_obs ~trace ~metrics (fun () ->
             let report =
               match engine with
-              | None -> Chase.run ~budget ?token ?checkpoint ?journal variant kb
+              | None -> Chase.run ~budget ?token ?journal variant kb
               | Some e ->
                   let choice = resolve_engine ~budget kb e in
                   Chase.run_engine ~budget ?token choice kb
@@ -453,8 +392,8 @@ let chase_cmd =
   Cmd.v (Cmd.info "chase" ~doc:"Run a chase variant on a DLGP knowledge base.")
     CTerm.(
       const run $ file_arg $ variant_arg $ engine_arg $ steps_arg $ atoms_arg
-      $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg $ verbose
-      $ trace_arg $ metrics_arg $ core_scope_arg $ jobs_arg $ batch
+      $ deadline_arg $ verbose $ trace_arg $ metrics_arg $ core_scope_arg
+      $ jobs_arg $ batch
       $ wal_dir_arg $ wal_sync_arg $ snapshot_every_arg)
 
 (* resume *)
@@ -465,82 +404,27 @@ let resume_cmd =
     | "core" -> Chase.Core
     | e -> die exit_input "%s: unknown engine %S" where e
   in
-  let kb_file_of ~where ~file_override ~recorded =
-    match (file_override, recorded) with
-    | Some f, _ -> f
-    | None, Some f -> f
-    | None, None -> die exit_input "%s records no KB path; pass --file" where
-  in
   let check_digest ~where ~kb_file recorded =
-    match (recorded, Chase.Checkpoint.digest_of_file kb_file) with
+    match (recorded, Storage.Wal.digest_of_file kb_file) with
     | Some d, Some d' when d <> d' ->
         (* name the digests, not just the fact of the mismatch: the
            operator deciding whether to re-chase or repoint --file needs
-           to see which KB the checkpoint was cut against *)
+           to see which KB the log was cut against *)
         die exit_input
-          "%s: %s changed since the checkpoint was written (expected digest \
-           %s, found %s); resuming against a different KB would not be exact"
+          "%s: %s changed since the log was written (expected digest %s, \
+           found %s); resuming against a different KB would not be exact"
           where kb_file d d'
     | Some _, None ->
-        die exit_input "%s: cannot read %s to verify the checkpoint digest"
+        die exit_input "%s: cannot read %s to verify the recorded digest"
           where kb_file
     | _ -> ()
   in
-  let run_text ckpt ~file_override ~steps ~atoms ~deadline ~ckpt_out ~every
-      ~verbose ~trace ~metrics ~core_scope ~jobs =
-    (match wal_hint ckpt with
-    | Some dir ->
-        die exit_input
-          "%s is a write-ahead log, not a text checkpoint; use `corechase \
-           resume --wal %s'"
-          ckpt dir
-    | None -> ());
-    let header =
-      match Chase.Checkpoint.read_header ckpt with
-      | Ok h -> h
-      | Error msg -> die exit_input "%s" msg
-    in
-    let variant =
-      variant_of_engine ~where:ckpt header.Chase.Checkpoint.engine
-    in
-    let kb_file =
-      kb_file_of ~where:ckpt ~file_override
-        ~recorded:header.Chase.Checkpoint.kb_path
-    in
-    check_digest ~where:ckpt ~kb_file header.Chase.Checkpoint.kb_digest;
-    (* KB first (deterministic variable ids), checkpoint second: load
-       pins the freshness counter to the checkpointed value *)
-    let kb = load_kb kb_file in
-    let _, saved_budget, state =
-      match Chase.Checkpoint.load kb ckpt with
-      | Ok v -> v
-      | Error msg -> die exit_input "%s" msg
-    in
-    let budget =
-      {
-        Chase.Variants.max_steps =
-          Option.value steps ~default:saved_budget.Chase.Variants.max_steps;
-        max_atoms =
-          Option.value atoms ~default:saved_budget.Chase.Variants.max_atoms;
-      }
-    in
-    Homo.Core.scoping := core_scope;
-    Corechase.Par.set_jobs jobs;
-    let token = token_of_deadline deadline in
-    let checkpoint =
-      hook_with_cadence every
-        (checkpoint_hook ~engine:(Chase.variant_name variant) ~kb_path:kb_file
-           ~budget ckpt_out)
-    in
-    with_obs ~trace ~metrics (fun () ->
-        let report =
-          Chase.run ~budget ?token ~resume:state ?checkpoint variant kb
-        in
-        print_report ~verbose report;
-        exit_of_outcome report.Chase.outcome)
-  in
-  let run_wal dir ~wal_sync ~snap_every ~file_override ~steps ~atoms ~deadline
-      ~ckpt_out ~every ~verbose ~trace ~metrics ~core_scope ~jobs =
+  let run dir file_override steps atoms deadline verbose trace metrics
+      core_scope jobs wal_sync snap_every =
+    (* [open_dir] creates missing directories (right for chase and
+       serve); resuming a run that never existed must not *)
+    if not (Sys.file_exists dir) then
+      die exit_input "%s: no such WAL directory (nothing to resume)" dir;
     let w = open_wal ~sync:wal_sync ~snapshot_every:snap_every dir in
     Fun.protect
       ~finally:(fun () -> Storage.Wal.close w)
@@ -556,12 +440,14 @@ let resume_cmd =
           variant_of_engine ~where:dir header.Storage.Wal.h_engine
         in
         let kb_file =
-          kb_file_of ~where:dir ~file_override
-            ~recorded:header.Storage.Wal.h_kb_path
+          match (file_override, header.Storage.Wal.h_kb_path) with
+          | Some f, _ | None, Some f -> f
+          | None, None ->
+              die exit_input "%s records no KB path; pass --file" dir
         in
         check_digest ~where:dir ~kb_file header.Storage.Wal.h_kb_digest;
-        (* same discipline as the text path: KB first, then replay the
-           log (recover pins the counters to the last durable boundary) *)
+        (* KB first (deterministic variable ids), then replay the log:
+           recover pins the counters to the last durable boundary *)
         let kb = load_kb kb_file in
         let recovered =
           match Storage.Wal.recover w kb with
@@ -580,51 +466,27 @@ let resume_cmd =
         Homo.Core.scoping := core_scope;
         Corechase.Par.set_jobs jobs;
         let token = token_of_deadline deadline in
-        let engine = header.Storage.Wal.h_engine in
-        let kb_digest = Chase.Checkpoint.digest_of_file kb_file in
         let journal =
-          Storage.Wal.journal w ~engine ~kb_path:kb_file ?kb_digest ~budget
-            ~durable:recovered.Storage.Wal.r_durable ()
-        in
-        let checkpoint =
-          combine_hooks
-            (hook_with_cadence every
-               (checkpoint_hook ~engine ~kb_path:kb_file ~budget ckpt_out))
-            (Some
-               (Storage.Wal.checkpoint_hook w ~engine ~kb_path:kb_file
-                  ?kb_digest ~budget ()))
+          Storage.Wal.journal w ~engine:header.Storage.Wal.h_engine
+            ~kb_path:kb_file ~budget ~durable:recovered.Storage.Wal.r_durable
+            ()
         in
         with_obs ~trace ~metrics (fun () ->
             let report =
               Chase.run ~budget ?token ?resume:recovered.Storage.Wal.r_state
-                ?checkpoint ~journal variant kb
+                ~journal variant kb
             in
             print_report ~verbose report;
             exit_of_outcome report.Chase.outcome))
   in
-  let run ckpt wal file_override steps atoms deadline ckpt_out every verbose
-      trace metrics core_scope jobs wal_sync snap_every =
-    match (ckpt, wal) with
-    | None, None ->
-        die exit_input "pass a CHECKPOINT file or --wal DIR (one of the two)"
-    | Some _, Some _ ->
-        die exit_input "pass either a CHECKPOINT file or --wal DIR, not both"
-    | Some ckpt, None ->
-        run_text ckpt ~file_override ~steps ~atoms ~deadline ~ckpt_out ~every
-          ~verbose ~trace ~metrics ~core_scope ~jobs
-    | None, Some dir ->
-        run_wal dir ~wal_sync ~snap_every ~file_override ~steps ~atoms
-          ~deadline ~ckpt_out ~every ~verbose ~trace ~metrics ~core_scope
-          ~jobs
-  in
-  let ckpt_pos =
+  let wal_dir =
     Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"CHECKPOINT"
+      required
+      & opt (some string) None
+      & info [ "wal" ] ~docv:"DIR"
           ~doc:
-            "Checkpoint file written by $(b,corechase chase --checkpoint) \
-             (omit when resuming with $(b,--wal)).")
+            "Write-ahead-log directory of the run to continue, as written \
+             by $(b,corechase chase --wal).")
   in
   let file_override =
     Arg.(
@@ -633,7 +495,7 @@ let resume_cmd =
       & info [ "file" ] ~docv:"FILE"
           ~doc:
             "DLGP file to resume against (default: the path recorded in the \
-             checkpoint).")
+             log).")
   in
   let steps_override =
     Arg.(
@@ -652,14 +514,13 @@ let resume_cmd =
   Cmd.v
     (Cmd.info "resume"
        ~doc:
-         "Continue a chase from an on-disk checkpoint.  The resumed run \
+         "Continue a chase from its write-ahead log.  The resumed run \
           agrees step for step with the uninterrupted one (same KB, same \
           budget).")
     CTerm.(
-      const run $ ckpt_pos $ wal_dir_arg $ file_override $ steps_override
-      $ atoms_override $ deadline_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ verbose $ trace_arg $ metrics_arg $ core_scope_arg $ jobs_arg
-      $ wal_sync_arg $ snapshot_every_arg)
+      const run $ wal_dir $ file_override $ steps_override $ atoms_override
+      $ deadline_arg $ verbose $ trace_arg $ metrics_arg $ core_scope_arg
+      $ jobs_arg $ wal_sync_arg $ snapshot_every_arg)
 
 (* entail *)
 let entail_cmd =
@@ -1091,162 +952,6 @@ let client_cmd =
           response frames.")
     CTerm.(const run $ connect_arg $ wait_arg $ reqs_arg)
 
-(* wal export / wal import: the bridge between the binary log and the
-   PR-5 text checkpoint format (DESIGN.md §16) *)
-let wal_cmd =
-  let digest_or_die ~where ~kb_file recorded =
-    match (recorded, Chase.Checkpoint.digest_of_file kb_file) with
-    | Some d, Some d' when d <> d' ->
-        die exit_input
-          "%s: %s changed since the log was written (expected digest %s, \
-           found %s); converting against a different KB would not be exact"
-          where kb_file d d'
-    | Some _, None ->
-        die exit_input "%s: cannot read %s to verify the recorded digest"
-          where kb_file
-    | _, fresh -> fresh
-  in
-  let kb_file_of ~where ~file_override ~recorded =
-    match (file_override, recorded) with
-    | Some f, _ -> f
-    | None, Some f -> f
-    | None, None -> die exit_input "%s records no KB path; pass --file" where
-  in
-  let file_override_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:"DLGP file (default: the path recorded in the source).")
-  in
-  let export =
-    let run dir out file_override =
-      let w =
-        match Storage.Wal.open_dir ~quiet:false dir with
-        | Ok w -> w
-        | Error m -> die exit_input "%s" m
-      in
-      Fun.protect
-        ~finally:(fun () -> Storage.Wal.close w)
-        (fun () ->
-          let header =
-            match Storage.Wal.peek_header w with
-            | Ok (Some h) -> h
-            | Ok None -> die exit_input "%s: WAL is empty" dir
-            | Error m -> die exit_input "%s" m
-          in
-          let kb_file =
-            kb_file_of ~where:dir ~file_override
-              ~recorded:header.Storage.Wal.h_kb_path
-          in
-          let kb_digest =
-            digest_or_die ~where:dir ~kb_file header.Storage.Wal.h_kb_digest
-          in
-          let kb = load_kb kb_file in
-          let recovered =
-            match Storage.Wal.recover w kb with
-            | Ok r -> r
-            | Error m -> die exit_input "%s" m
-          in
-          match recovered.Storage.Wal.r_state with
-          | None ->
-              die exit_input
-                "%s: no completed round is durable yet; a text checkpoint \
-                 captures only round boundaries"
-                dir
-          | Some state ->
-              Chase.Checkpoint.save ~path:out
-                ~engine:header.Storage.Wal.h_engine ~kb_path:kb_file
-                ?kb_digest ~budget:header.Storage.Wal.h_budget state;
-              Fmt.epr "exported %s (round boundary, %d durable record(s)) to \
-                       %s@."
-                dir recovered.Storage.Wal.r_records out;
-              exit_ok)
-    in
-    let dir_pos =
-      Arg.(
-        required
-        & pos 0 (some file) None
-        & info [] ~docv:"DIR" ~doc:"WAL directory to export.")
-    in
-    let out_arg =
-      Arg.(
-        required
-        & opt (some string) None
-        & info [ "out"; "o" ] ~docv:"CHECKPOINT"
-            ~doc:"Text checkpoint file to write.")
-    in
-    Cmd.v
-      (Cmd.info "export"
-         ~doc:
-           "Convert a WAL directory's last durable round boundary into a \
-            $(b,corechase resume)-compatible text checkpoint.")
-      CTerm.(const run $ dir_pos $ out_arg $ file_override_arg)
-  in
-  let import =
-    let run ckpt out file_override =
-      let header =
-        match Chase.Checkpoint.read_header ckpt with
-        | Ok h -> h
-        | Error m -> die exit_input "%s" m
-      in
-      let kb_file =
-        kb_file_of ~where:ckpt ~file_override
-          ~recorded:header.Chase.Checkpoint.kb_path
-      in
-      let kb_digest =
-        digest_or_die ~where:ckpt ~kb_file header.Chase.Checkpoint.kb_digest
-      in
-      let kb = load_kb kb_file in
-      let _, budget, state =
-        match Chase.Checkpoint.load kb ckpt with
-        | Ok v -> v
-        | Error m -> die exit_input "%s" m
-      in
-      let w =
-        match Storage.Wal.open_dir out with
-        | Ok w -> w
-        | Error m -> die exit_input "%s" m
-      in
-      Fun.protect
-        ~finally:(fun () -> Storage.Wal.close w)
-        (fun () ->
-          match
-            Storage.Wal.import_state w ~engine:header.Chase.Checkpoint.engine
-              ~kb_path:kb_file ?kb_digest ~budget state
-          with
-          | Error m -> die exit_input "%s" m
-          | Ok () ->
-              Fmt.epr "imported %s into %s@." ckpt out;
-              exit_ok)
-    in
-    let ckpt_pos =
-      Arg.(
-        required
-        & pos 0 (some file) None
-        & info [] ~docv:"CHECKPOINT" ~doc:"Text checkpoint file to import.")
-    in
-    let out_arg =
-      Arg.(
-        required
-        & opt (some string) None
-        & info [ "out"; "o" ] ~docv:"DIR"
-            ~doc:"WAL directory to seed (must not already hold a log).")
-    in
-    Cmd.v
-      (Cmd.info "import"
-         ~doc:
-           "Seed an empty WAL directory from a text checkpoint so the run \
-            can continue under $(b,corechase resume --wal).")
-      CTerm.(const run $ ckpt_pos $ out_arg $ file_override_arg)
-  in
-  Cmd.group
-    (Cmd.info "wal"
-       ~doc:
-         "Convert between WAL directories and text checkpoints (DESIGN.md \
-          §16).")
-    [ export; import ]
-
 let () =
   let info =
     Cmd.info "corechase" ~version:"1.0.0"
@@ -1258,5 +963,5 @@ let () =
           [
             chase_cmd; resume_cmd; entail_cmd; analyze_cmd; classify_cmd;
             treewidth_cmd; repro_cmd; tptp_cmd; dot_cmd; zoo_cmd; bench_cmd;
-            serve_cmd; client_cmd; wal_cmd;
+            serve_cmd; client_cmd;
           ]))

@@ -7,7 +7,6 @@ module Trigger = Trigger
 module Derivation = Derivation
 module Datalog = Datalog
 module Variants = Variants
-module Checkpoint = Checkpoint
 
 open Syntax
 
@@ -33,10 +32,10 @@ type report = {
     and [Core] the run is a Definition-1 derivation; use
     {!Variants.restricted} / {!Variants.core} directly to inspect it.
     [token] bounds the run in wall-clock time / supports cancellation;
-    [resume]/[checkpoint] (derivation engines only — [Oblivious] and
-    [Skolem] reject them) thread the round-boundary checkpoint states of
+    [resume]/[journal] (derivation engines only — [Oblivious] and
+    [Skolem] reject them) thread the round-boundary states of
     {!Variants.engine_state} through. *)
-let run ?budget ?token ?resume ?checkpoint ?journal variant kb =
+let run ?budget ?token ?resume ?journal variant kb =
   let of_baseline (t : Variants.Baseline.trace) =
     {
       variant;
@@ -65,21 +64,21 @@ let run ?budget ?token ?resume ?checkpoint ?journal variant kb =
   in
   match variant with
   | Oblivious | Skolem ->
-      if resume <> None || checkpoint <> None || journal <> None then
+      if resume <> None || journal <> None then
         invalid_arg
-          "Chase.run: checkpoint/resume/journal requires a derivation \
-           engine (restricted, frugal or core)";
+          "Chase.run: resume/journal requires a derivation engine \
+           (restricted, frugal or core)";
       of_baseline
         (match variant with
         | Oblivious -> Variants.Baseline.oblivious ?budget ?token kb
         | _ -> Variants.Baseline.skolem ?budget ?token kb)
   | Restricted ->
       of_run
-        (Variants.restricted ?budget ?token ?resume ?checkpoint ?journal kb)
+        (Variants.restricted ?budget ?token ?resume ?journal kb)
   | Frugal ->
-      of_run (Variants.frugal ?budget ?token ?resume ?checkpoint ?journal kb)
+      of_run (Variants.frugal ?budget ?token ?resume ?journal kb)
   | Core ->
-      of_run (Variants.core ?budget ?token ?resume ?checkpoint ?journal kb)
+      of_run (Variants.core ?budget ?token ?resume ?journal kb)
 
 (* ------------------------------------------------------------------ *)
 (* Engine routing targets (DESIGN.md §13).                             *)

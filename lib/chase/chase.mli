@@ -14,8 +14,6 @@ module Datalog : module type of Datalog
 
 module Variants : module type of Variants
 
-module Checkpoint : module type of Checkpoint
-
 open Syntax
 
 type variant = Oblivious | Skolem | Restricted | Frugal | Core
@@ -38,7 +36,6 @@ val run :
   ?budget:Variants.budget ->
   ?token:Resilience.Token.t ->
   ?resume:Variants.engine_state ->
-  ?checkpoint:(Variants.engine_state -> unit) ->
   ?journal:Variants.journal ->
   variant ->
   Kb.t ->
@@ -46,12 +43,12 @@ val run :
 (** Run any variant under a budget and report uniformly.  For
     [Restricted], [Frugal] and [Core] the run is a Definition-1
     derivation; use {!Variants} directly to inspect it.  [token] arms a
-    wall-clock deadline / cancellation; [resume]/[checkpoint] thread
-    round-boundary {!Variants.engine_state} values through the
-    derivation engines; [journal] receives the per-step
-    {!Variants.journal_event}s (the WAL sink, DESIGN.md §16).
-    @raise Invalid_argument when [resume]/[checkpoint]/[journal] is
-    passed with [Oblivious] or [Skolem] (no derivation to journal). *)
+    wall-clock deadline / cancellation; [journal] receives the per-step
+    {!Variants.journal_event}s (the WAL sink, DESIGN.md §16), among them
+    the round-boundary {!Variants.engine_state} that [resume] accepts
+    back.
+    @raise Invalid_argument when [resume]/[journal] is passed with
+    [Oblivious] or [Skolem] (no derivation to journal). *)
 
 type engine_choice = Engine_datalog | Engine_restricted | Engine_core
 (** Routing targets for the static analyzer (DESIGN.md §13): semi-naive

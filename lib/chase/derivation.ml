@@ -27,8 +27,8 @@ let start ?(simplification = Subst.empty) kb =
   in
   { kb; rev_steps = [ step0 ]; len = 1 }
 
-(* Rebuild a derivation from previously recorded steps (checkpoint
-   resume).  Structural checks only — indices consecutive from 0, each
+(* Rebuild a derivation from previously recorded steps (WAL
+   recovery).  Structural checks only — indices consecutive from 0, each
    instance = σ(pre-instance) — since the triggers themselves are not
    serialized ([trigger = None] on reloaded steps); full Definition-1
    replay is what [validate] is for and is impossible without them. *)

@@ -28,7 +28,7 @@ val start : ?simplification:Subst.t -> Kb.t -> t
     @raise Invalid_argument if [σ_0] is not a retraction of [F]. *)
 
 val of_steps : Kb.t -> step list -> t
-(** Rebuild a derivation from recorded steps (checkpoint resume,
+(** Rebuild a derivation from recorded steps (WAL recovery,
     {!Chase.Variants.engine_state}).  Checks that indices run
     consecutively from 0 and that each [instance = σ(pre_instance)];
     triggers are typically [None] on reloaded steps, so Definition-1

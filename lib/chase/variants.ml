@@ -62,8 +62,24 @@ type run = { derivation : Derivation.t; outcome : outcome; rounds : int }
 
 type cadence = Every_application | Every_round
 
-(* Per-step journal events (DESIGN.md §16): the [?checkpoint] hook
-   generalized to step granularity.  A sink (lib/storage's WAL) receives
+(* A resumable engine state: everything the round loop reads at its top.
+   Captured only at {e completed-round boundaries} — mid-round the active
+   trigger snapshot and its σ-traces are live, and serializing them would
+   break the resumed ≡ uninterrupted invariant (DESIGN.md §11).  The
+   instance index is not part of the state: it is rebuilt from the
+   derivation's last element, and trigger discovery keys on the
+   [snapshot] {e atomset} delta, not on index generations. *)
+type engine_state = {
+  state_derivation : Derivation.t;
+  state_steps : int;  (** rule applications performed so far *)
+  state_rounds : int;  (** completed rounds *)
+  state_snapshot : Atomset.t option;
+      (** the pre-round discovery snapshot, i.e. the atomset the next
+          round's delta is computed against *)
+}
+
+(* Per-step journal events (DESIGN.md §16), the engines' only
+   persistence hook.  A sink (lib/storage's WAL) receives
    one event per durable fact about the run — σ₀, each rule application
    as a delta, each round-end re-simplification, and the completed-round
    consistent cut — in exactly the order the engine commits them, so an
@@ -81,31 +97,16 @@ type journal_event =
     }
   | J_round_sigma of { index : int; sigma : Subst.t }
       (** a round-end simplification replaced step [index]'s σ *)
-  | J_round of { rounds : int; steps : int; snapshot_index : int }
-      (** completed-round boundary; [snapshot_index] is the derivation
-          index whose instance equals the pre-round discovery snapshot *)
+  | J_round of { state : engine_state; snapshot_index : int }
+      (** completed-round boundary: the resumable [state], and the
+          derivation index whose instance equals its pre-round discovery
+          snapshot *)
   | J_merge of { sigma : Subst.t }
       (** an EGD unification ({!Egds.run} only — EGD runs are journaled
           for the record but are not Definition-1 derivations, so they
           are not resumable) *)
 
 type journal = journal_event -> unit
-
-(* A resumable engine state: everything the round loop reads at its top.
-   Captured only at {e completed-round boundaries} — mid-round the active
-   trigger snapshot and its σ-traces are live, and serializing them would
-   break the resumed ≡ uninterrupted invariant (DESIGN.md §11).  The
-   instance index is not part of the state: it is rebuilt from the
-   derivation's last element, and trigger discovery keys on the
-   [snapshot] {e atomset} delta, not on index generations. *)
-type engine_state = {
-  state_derivation : Derivation.t;
-  state_steps : int;  (** rule applications performed so far *)
-  state_rounds : int;  (** completed rounds *)
-  state_snapshot : Atomset.t option;
-      (** the pre-round discovery snapshot, i.e. the atomset the next
-          round's delta is computed against *)
-}
 
 (* The engines maintain ONE indexed instance per run, kept in lockstep
    with the last derivation element: rule applications patch it with
@@ -126,7 +127,7 @@ type engine_state = {
    last instance so the engine can patch its index. *)
 let run_engine ?(engine = "chase")
     ?(round_end = fun d ~idx:_ ~fresh:_ ~added:_ -> (d, Subst.empty)) ?token
-    ?resume ?checkpoint ?journal ~budget ~simplify ~start_simplification kb =
+    ?resume ?journal ~budget ~simplify ~start_simplification kb =
   let emit_journal ev =
     match journal with Some j -> j ev | None -> ()
   in
@@ -287,25 +288,20 @@ let run_engine ?(engine = "chase")
            (* A completed round is the only consistent cut this loop
               offers: every σ-trace is sealed inside [d], so the state
               below resumes exactly (DESIGN.md §11).  Partial rounds
-              (budget fired above) are never checkpointed. *)
+              (budget fired above) are never journaled as boundaries. *)
            if !outcome = None then
              emit_journal
                (J_round
                   {
-                    rounds = !rounds;
-                    steps = !steps_done;
+                    state =
+                      {
+                        state_derivation = !d;
+                        state_steps = !steps_done;
+                        state_rounds = !rounds;
+                        state_snapshot = !prev_snapshot;
+                      };
                     snapshot_index = base_index;
-                  });
-           match checkpoint with
-           | Some hook when !outcome = None ->
-               hook
-                 {
-                   state_derivation = !d;
-                   state_steps = !steps_done;
-                   state_rounds = !rounds;
-                   state_snapshot = !prev_snapshot;
-                 }
-           | _ -> ()
+                  })
          end
        end
      done
@@ -321,14 +317,13 @@ let run_engine ?(engine = "chase")
     rounds = !rounds;
   }
 
-let restricted ?(budget = default_budget) ?token ?resume ?checkpoint ?journal
-    kb =
-  run_engine ~engine:"restricted" ~budget ?token ?resume ?checkpoint ?journal
+let restricted ?(budget = default_budget) ?token ?resume ?journal kb =
+  run_engine ~engine:"restricted" ~budget ?token ?resume ?journal
     ~simplify:(fun _ ~added:_ _ -> Subst.empty)
     ~start_simplification:None kb
 
 let core ?(budget = default_budget) ?(cadence = Every_application)
-    ?(simplify_start = true) ?token ?resume ?checkpoint ?journal kb =
+    ?(simplify_start = true) ?token ?resume ?journal kb =
   match
     (* σ_0 = retraction-to-core of the facts runs before the engine loop,
        so it needs the same token/boundary discipline: computed under the
@@ -351,12 +346,12 @@ let core ?(budget = default_budget) ?(cadence = Every_application)
      so the fold search may be delta-scoped.  Before the first retraction
      (simplify_start = false) the precondition does not hold and the
      first simplification folds with Full scope.  A resumed state was
-     checkpointed at a round boundary, where both cadences leave the
+     journaled at a round boundary, where both cadences leave the
      instance a core. *)
   let invariant = ref (simplify_start || resume <> None) in
   match cadence with
   | Every_application ->
-      run_engine ~engine:"core" ~budget ?token ?resume ?checkpoint ?journal
+      run_engine ~engine:"core" ~budget ?token ?resume ?journal
         ~simplify:(fun pre_idx ~added app ->
           let scope =
             if !invariant then
@@ -375,8 +370,7 @@ let core ?(budget = default_budget) ?(cadence = Every_application)
          engine's index needs to absorb — and the engine's index {e is}
          the round-end pre-instance, so it is folded in place with the
          round's whole delta as scope. *)
-      run_engine ~engine:"core-round" ~budget ?token ?resume ?checkpoint
-        ?journal
+      run_engine ~engine:"core-round" ~budget ?token ?resume ?journal
         ~simplify:(fun _ ~added:_ _ -> Subst.empty)
         ~round_end:(fun d ~idx ~fresh ~added ->
           let scope =
@@ -445,8 +439,8 @@ let frugal_simplification pre_idx ~added:_ (app : Trigger.application) =
          retraction of the pre-instance *)
       sigma
 
-let frugal ?(budget = default_budget) ?token ?resume ?checkpoint ?journal kb =
-  run_engine ~engine:"frugal" ~budget ?token ?resume ?checkpoint ?journal
+let frugal ?(budget = default_budget) ?token ?resume ?journal kb =
+  run_engine ~engine:"frugal" ~budget ?token ?resume ?journal
     ~simplify:frugal_simplification ~start_simplification:None kb
 
 let stream ~variant kb =

@@ -48,11 +48,11 @@ type run = { derivation : Derivation.t; outcome : outcome; rounds : int }
 
 type cadence = Every_application | Every_round
 
-(** A resumable engine state, captured by the [?checkpoint] hook after
-    every {e completed} round (mid-round states are never offered: the
-    active-trigger snapshot and its σ-traces would not survive
+(** A resumable engine state, carried by the {!J_round} journal event
+    after every {e completed} round (mid-round states are never offered:
+    the active-trigger snapshot and its σ-traces would not survive
     serialization, see DESIGN.md §11) and accepted back via [?resume].
-    Resuming an engine from a state it checkpointed — with the same KB,
+    Resuming an engine from a state it journaled — with the same KB,
     the same [Term] freshness-counter value, and the remaining budget —
     continues the run {e exactly}: derivation steps and final instance
     equal the uninterrupted run's. *)
@@ -65,13 +65,12 @@ type engine_state = {
           round's delta is computed against *)
 }
 
-(** Per-step journal events (DESIGN.md §16): the [?checkpoint] hook
-    generalized to step granularity, consumed by the WAL sink in
-    [lib/storage].  Events are emitted in commit order, immediately
-    after the engine's [d]/[idx] pair advances, so an append-only log
-    of them replays to the engine's state at any prefix; a sink that
-    raises is caught at the engine's resilience boundary like any
-    other interruption. *)
+(** Per-step journal events (DESIGN.md §16), consumed by the WAL sink
+    in [lib/storage] — the engines' only persistence hook.  Events are
+    emitted in commit order, immediately after the engine's [d]/[idx]
+    pair advances, so an append-only log of them replays to the
+    engine's state at any prefix; a sink that raises is caught at the
+    engine's resilience boundary like any other interruption. *)
 type journal_event =
   | J_start of { sigma : Subst.t }  (** σ₀ of the start step *)
   | J_step of {
@@ -82,9 +81,10 @@ type journal_event =
     }
   | J_round_sigma of { index : int; sigma : Subst.t }
       (** a round-end simplification replaced step [index]'s σ *)
-  | J_round of { rounds : int; steps : int; snapshot_index : int }
-      (** completed-round boundary; [snapshot_index] is the derivation
-          index whose instance equals the pre-round discovery snapshot *)
+  | J_round of { state : engine_state; snapshot_index : int }
+      (** completed-round boundary: the resumable [state], and the
+          derivation index whose instance equals its pre-round discovery
+          snapshot *)
   | J_merge of { sigma : Subst.t }
       (** an EGD unification ({!Egds.run} only; not resumable) *)
 
@@ -94,27 +94,27 @@ val restricted :
   ?budget:budget ->
   ?token:Resilience.Token.t ->
   ?resume:engine_state ->
-  ?checkpoint:(engine_state -> unit) ->
   ?journal:journal ->
   Kb.t ->
   run
 (** Run the restricted chase from [K].  [token] arms a wall-clock
     deadline / cancellation for the run (polled at every round and step,
-    inside homomorphism search, and on pool workers); [checkpoint]
-    receives the engine state after each completed round; [resume]
-    continues from such a state instead of starting at [F_0]. *)
+    inside homomorphism search, and on pool workers); [journal]
+    receives the run's events, among them the engine state after each
+    completed round ({!J_round}); [resume] continues from such a state
+    instead of starting at [F_0]. *)
 
 val core :
   ?budget:budget -> ?cadence:cadence -> ?simplify_start:bool ->
-  ?token:Resilience.Token.t -> ?resume:engine_state ->
-  ?checkpoint:(engine_state -> unit) -> ?journal:journal -> Kb.t -> run
+  ?token:Resilience.Token.t -> ?resume:engine_state -> ?journal:journal ->
+  Kb.t -> run
 (** Run the core chase.  [simplify_start] (default [true]) applies [σ_0] =
     retraction-to-core to the initial facts, matching [F_0 = σ_0(F)].
-    [token]/[resume]/[checkpoint] as in {!restricted}. *)
+    [token]/[resume]/[journal] as in {!restricted}. *)
 
 val frugal :
   ?budget:budget -> ?token:Resilience.Token.t -> ?resume:engine_state ->
-  ?checkpoint:(engine_state -> unit) -> ?journal:journal -> Kb.t -> run
+  ?journal:journal -> Kb.t -> run
 (** The frugal chase (Konstantinidis–Ambite; the paper's Section 3 notes
     that Definition 1 covers it): after each rule application, the
     simplification [σ_i] folds {e only the freshly created nulls} back

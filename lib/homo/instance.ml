@@ -19,9 +19,9 @@ let next_gen () = Atomic.fetch_and_add gen_counter 1 + 1
 
 let generation_counter_value () = Atomic.get gen_counter
 
-(* Checkpoint resume restores the epoch clock monotonically: raising it
+(* WAL recovery restores the epoch clock monotonically: raising it
    to at least the persisted value keeps every post-resume generation
-   distinct from every checkpoint-era one, so memo entries can never
+   distinct from every logged one, so memo entries can never
    alias across the resume boundary.  Never set it down — stale memo
    entries keyed on a re-issued epoch would be a correctness bug. *)
 let ensure_generation_counter_at_least n =

@@ -60,13 +60,13 @@ val generation : t -> int
     stale answers.  [empty] has generation [0]. *)
 
 val generation_counter_value : unit -> int
-(** Current value of the process-wide epoch counter.  Persisted by chase
-    checkpoints (DESIGN.md §11). *)
+(** Current value of the process-wide epoch counter.  Persisted by the
+    chase's write-ahead log (DESIGN.md §11, §16). *)
 
 val ensure_generation_counter_at_least : int -> unit
 (** Raise the epoch counter to at least the given value (monotone: a
-    smaller value is a no-op).  Checkpoint resume calls this so no
-    post-resume instance can re-issue a checkpoint-era epoch and alias a
+    smaller value is a no-op).  WAL recovery calls this so no
+    post-resume instance can re-issue a logged epoch and alias a
     stale memo entry. *)
 
 val born : t -> Atom.t -> int option

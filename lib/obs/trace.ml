@@ -16,7 +16,6 @@ type event =
   | Par_fanout of { site : string; tasks : int; jobs : int }
   | Batch_task of { site : string; index : int; slot : int; ms : int }
   | Deadline_hit of { engine : string; step : int }
-  | Checkpoint_written of { engine : string; step : int; path : string }
   | Session_event of { action : string; session : string; generation : int }
   | Conn_event of { action : string; conn : int }
   | Wal_rotate of { segment : string; lsn : int }
@@ -101,9 +100,6 @@ let pp_event ppf = function
         slot ms
   | Deadline_hit { engine; step } ->
       Format.fprintf ppf "[%s] step %d: deadline hit, stopping" engine step
-  | Checkpoint_written { engine; step; path } ->
-      Format.fprintf ppf "[%s] step %d: checkpoint written to %s" engine step
-        path
   | Session_event { action; session; generation } ->
       Format.fprintf ppf "[serve] session %s: %s (generation %d)" session
         action generation
@@ -183,11 +179,6 @@ let to_json ev =
         ]
     | Deadline_hit { engine; step } ->
         [ s "ev" "deadline_hit"; s "engine" engine; i "step" step ]
-    | Checkpoint_written { engine; step; path } ->
-        [
-          s "ev" "checkpoint_written"; s "engine" engine; i "step" step;
-          s "path" path;
-        ]
     | Session_event { action; session; generation } ->
         [
           s "ev" "session_event"; s "action" action; s "session" session;
@@ -391,9 +382,6 @@ let of_json_line line =
               }
         | "deadline_hit" ->
             Deadline_hit { engine = str "engine"; step = int "step" }
-        | "checkpoint_written" ->
-            Checkpoint_written
-              { engine = str "engine"; step = int "step"; path = str "path" }
         | "session_event" ->
             Session_event
               {

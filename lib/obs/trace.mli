@@ -57,9 +57,6 @@ type event =
       (** the run's wall-clock deadline fired at derivation step [step];
           the engine stopped cooperatively and returned its last
           consistent instance (DESIGN.md §11) *)
-  | Checkpoint_written of { engine : string; step : int; path : string }
-      (** a resumable checkpoint covering the first [step] derivation
-          steps was persisted to [path] (DESIGN.md §11) *)
   | Session_event of { action : string; session : string; generation : int }
       (** a server KB session changed state (DESIGN.md §15): [action] is
           [opened], [loaded], [chased], [analyzed] or [closed];

@@ -75,7 +75,7 @@ val decode : string -> (t, string) result
 (** Total inverse of {!encode}.  Decoding a variable registers its rank
     with the global freshness counter ({!Syntax.Term.var_of_id}), so a
     chase log must be decoded {e after} the KB re-parse — same counter
-    discipline as {!Chase.Checkpoint.load}. *)
+    discipline as {!Wal.recover}. *)
 
 val equal : t -> t -> bool
 (** Structural equality (substitutions compared as maps). *)

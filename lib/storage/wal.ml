@@ -102,16 +102,6 @@ let warn t fmt =
     (fun m -> if not t.quiet then Fmt.epr "corechase: wal: %s@." m)
     fmt
 
-(* A path looks like a WAL directory: used by `corechase resume` to
-   hint at --wal when handed one in the text-checkpoint position. *)
-let looks_like_wal_dir path =
-  Sys.file_exists path && Sys.is_directory path
-  && Array.exists
-       (fun n ->
-         parse_numbered ~prefix:"wal-" ~suffix:".xlog" n <> None
-         || parse_numbered ~prefix:"snap-" ~suffix:".snap" n <> None)
-       (try Sys.readdir path with Sys_error _ -> [||])
-
 (* ---------------------------------------------------------------- *)
 (* Open: scan the directory, classify torn vs corrupt, position the
    writer after the last durable record. *)
@@ -612,7 +602,10 @@ let recover t kb =
   end
 
 (* ---------------------------------------------------------------- *)
-(* The chase-side hooks *)
+(* The chase-side hook *)
+
+let digest_of_file path =
+  try Some (Digest.to_hex (Digest.file path)) with Sys_error _ -> None
 
 let begin_record ~engine ?kb_path ?kb_digest ~(budget : Chase.Variants.budget)
     () =
@@ -627,10 +620,38 @@ let begin_record ~engine ?kb_path ?kb_digest ~(budget : Chase.Variants.budget)
       generation_counter = Homo.Instance.generation_counter_value ();
     }
 
-let journal t ~engine ?kb_path ?kb_digest ~budget ?(durable = no_durable) () :
+let round_record ~(state : Chase.Variants.engine_state) ~snapshot_index =
+  Record.Round
+    {
+      rounds = state.Chase.Variants.state_rounds;
+      steps = state.Chase.Variants.state_steps;
+      snapshot_index;
+      term_counter = Term.counter_value ();
+      generation_counter = Homo.Instance.generation_counter_value ();
+    }
+
+(* A round boundary in snapshot form: the header, one [Snap_step] per
+   derivation step, and the [Round] record. *)
+let chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget ~state
+    ~snapshot_index () =
+  (begin_record ~engine ?kb_path ?kb_digest ~budget ()
+  :: List.map
+       (fun (s : Chase.Derivation.step) ->
+         Record.Snap_step
+           {
+             index = s.Chase.Derivation.index;
+             pi_safe = s.Chase.Derivation.pi_safe;
+             sigma = s.Chase.Derivation.simplification;
+             pre = Atomset.to_list s.Chase.Derivation.pre_instance;
+             inst = Atomset.to_list s.Chase.Derivation.instance;
+           })
+       (Chase.Derivation.steps state.Chase.Variants.state_derivation))
+  @ [ round_record ~state ~snapshot_index ]
+
+let journal t ~engine ?kb_path ~budget ?(durable = no_durable) () :
     Chase.Variants.journal =
-  fun ev ->
-  match ev with
+  let kb_digest = Option.bind kb_path digest_of_file in
+  function
   | Chase.Variants.J_start { sigma } ->
       if is_empty t then begin
         append t (begin_record ~engine ?kb_path ?kb_digest ~budget ());
@@ -643,87 +664,10 @@ let journal t ~engine ?kb_path ?kb_digest ~budget ?(durable = no_durable) () :
   | Chase.Variants.J_round_sigma { index; sigma } ->
       if index > durable.d_last_step || not durable.d_tail_retract then
         append t (Record.Retract { index; sigma })
-  | Chase.Variants.J_round { rounds; steps; snapshot_index } ->
-      if rounds > durable.d_rounds then
-        append t
-          (Record.Round
-             {
-               rounds;
-               steps;
-               snapshot_index;
-               term_counter = Term.counter_value ();
-               generation_counter = Homo.Instance.generation_counter_value ();
-             })
+  | Chase.Variants.J_round { state; snapshot_index } ->
+      if state.Chase.Variants.state_rounds > durable.d_rounds then
+        append t (round_record ~state ~snapshot_index);
+      maybe_snapshot t
+        (chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget ~state
+           ~snapshot_index)
   | Chase.Variants.J_merge { sigma } -> append t (Record.Merge { sigma })
-
-let chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget
-    (st : Chase.Variants.engine_state) =
-  let d = st.Chase.Variants.state_derivation in
-  let snap_index =
-    match st.Chase.Variants.state_snapshot with
-    | None -> -1
-    | Some snap ->
-        let rec find i =
-          if i < 0 then -1
-          else if Atomset.equal (Chase.Derivation.instance_at d i) snap then i
-          else find (i - 1)
-        in
-        find (Chase.Derivation.length d - 1)
-  in
-  (begin_record ~engine ?kb_path ?kb_digest ~budget ()
-  :: List.map
-       (fun (s : Chase.Derivation.step) ->
-         Record.Snap_step
-           {
-             index = s.Chase.Derivation.index;
-             pi_safe = s.Chase.Derivation.pi_safe;
-             sigma = s.Chase.Derivation.simplification;
-             pre = Atomset.to_list s.Chase.Derivation.pre_instance;
-             inst = Atomset.to_list s.Chase.Derivation.instance;
-           })
-       (Chase.Derivation.steps d))
-  @ [
-      Record.Round
-        {
-          rounds = st.Chase.Variants.state_rounds;
-          steps = st.Chase.Variants.state_steps;
-          snapshot_index = snap_index;
-          term_counter = Term.counter_value ();
-          generation_counter = Homo.Instance.generation_counter_value ();
-        };
-    ]
-
-let checkpoint_hook t ~engine ?kb_path ?kb_digest ~budget () :
-    Chase.Variants.engine_state -> unit =
- fun st ->
-  maybe_snapshot t (fun () ->
-      chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget st)
-
-let import_state t ~engine ?kb_path ?kb_digest ~budget st =
-  if not (is_empty t) then
-    Error (t.dir ^ ": WAL directory already holds a log")
-  else begin
-    let records = chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget st in
-    let snapshot_lost =
-      (* engine-produced states always index their pre-round snapshot at
-         some derivation prefix; a state that does not cannot be replayed
-         exactly, so refuse rather than resume with a silently different
-         discovery delta *)
-      st.Chase.Variants.state_snapshot <> None
-      && List.exists
-           (function
-             | Record.Round { snapshot_index; _ } -> snapshot_index < 0
-             | _ -> false)
-           records
-    in
-    if snapshot_lost then
-      Error
-        (t.dir
-       ^ ": the state's discovery snapshot matches no derivation prefix; \
-          importing it would not resume exactly")
-    else begin
-      List.iter (append t) records;
-      do_sync t;
-      Ok ()
-    end
-  end

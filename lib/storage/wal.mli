@@ -15,8 +15,8 @@
 
     Counter discipline: {!recover} replays records that mint variable
     ids and read generation stamps, so the KB must be parsed {e before}
-    calling it, exactly as for [Chase.Checkpoint.load].  {!peek_header}
-    is safe before the KB parse (the header record builds no terms).
+    calling it.  {!peek_header} is safe before the KB parse (the header
+    record builds no terms).
 
     Fault sites for the kill/resume harness (DESIGN.md §11): [wal]
     fires between a frame's write and its fsync, [snap] between a
@@ -55,11 +55,6 @@ val is_empty : t -> bool
 
 val had_torn_tail : t -> bool
 (** Whether {!open_dir} truncated a torn final record. *)
-
-val looks_like_wal_dir : string -> bool
-(** The path is a directory containing WAL segments or snapshots — used
-    by [corechase resume] to hint at [--wal] when handed a WAL directory
-    in the text-checkpoint position. *)
 
 val append : t -> Record.t -> unit
 (** Append one record as the next-LSN frame and apply the sync policy.
@@ -133,55 +128,26 @@ val recover : t -> Syntax.Kb.t -> (recovered, string) result
     KB, parsed before this call.  Structured [Error] on an empty log,
     undecodable or out-of-order records, or session records. *)
 
-(** {1 The chase-side hooks} *)
+(** {1 The chase-side hook} *)
+
+val digest_of_file : string -> string option
+(** Hex MD5 of a file's contents; [None] if unreadable.  The run header
+    records it for the KB document, so [corechase resume] can refuse a
+    KB that changed since the log was written. *)
 
 val journal :
   t ->
   engine:string ->
   ?kb_path:string ->
-  ?kb_digest:string ->
   budget:Chase.Variants.budget ->
   ?durable:durable ->
   unit ->
   Chase.Variants.journal
 (** The per-step journal sink for [Chase.run ?journal]: appends a
-    header + σ₀ on first use, then one record per
-    {!Chase.Variants.journal_event}.  Pass the {!recover}ed [durable]
-    summary when resuming so already-durable records are not
+    header (recording [kb_path] and its {!digest_of_file}) + σ₀ on first
+    use, then one record per {!Chase.Variants.journal_event}.  On every
+    [J_round] it also counts one {!maybe_snapshot} tick, serializing the
+    round's engine state as a snapshot (header, one [Snap_step] per
+    derivation step, the [Round] boundary).  Pass the {!recover}ed
+    [durable] summary when resuming so already-durable records are not
     re-appended. *)
-
-val checkpoint_hook :
-  t ->
-  engine:string ->
-  ?kb_path:string ->
-  ?kb_digest:string ->
-  budget:Chase.Variants.budget ->
-  unit ->
-  Chase.Variants.engine_state -> unit
-(** The [?checkpoint] hook: every [snapshot_every] completed rounds,
-    serialize the engine state as a snapshot (header, one
-    [Snap_step] per derivation step, a [Round] boundary) and rotate. *)
-
-val chase_snapshot_records :
-  engine:string ->
-  ?kb_path:string ->
-  ?kb_digest:string ->
-  budget:Chase.Variants.budget ->
-  Chase.Variants.engine_state ->
-  Record.t list
-(** The snapshot serialization itself (exposed for {!import_state} and
-    tests). *)
-
-val import_state :
-  t ->
-  engine:string ->
-  ?kb_path:string ->
-  ?kb_digest:string ->
-  budget:Chase.Variants.budget ->
-  Chase.Variants.engine_state ->
-  (unit, string) result
-(** Seed an {e empty} WAL directory with a snapshot-form serialization
-    of the state — the [corechase wal import] bridge from PR-5 text
-    checkpoints.  [Error] if the directory already holds a log, or if
-    the state's discovery snapshot matches no derivation prefix (it
-    could not be replayed exactly). *)

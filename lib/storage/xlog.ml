@@ -113,19 +113,6 @@ type scan = {
   torn : bool;  (** a torn tail follows [valid_size] *)
 }
 
-(* Starts-with-the-magic probe used by `corechase resume` to recognise a
-   WAL file/dir it cannot resume directly and hint at --wal. *)
-let file_has_magic path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic magic_bytes with
-          | m -> String.equal m wal_magic || String.equal m snap_magic
-          | exception End_of_file -> false)
-
 let scan_file ~magic path =
   match read_whole_file path with
   | exception Sys_error m -> Error m

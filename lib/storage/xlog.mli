@@ -42,11 +42,6 @@ val wal_magic : string
 val snap_magic : string
 (** ["CSNP0001"], opens every snapshot file. *)
 
-val file_has_magic : string -> bool
-(** Does the file start with either magic?  Used by [corechase resume]
-    to recognise WAL data handed to the text-checkpoint path and hint
-    at [--wal] instead of failing on a version mismatch. *)
-
 type scan = {
   frames : (int * string) list;  (** (lsn, payload) in file order *)
   valid_size : int;  (** offset just past the last valid frame *)

@@ -12,8 +12,8 @@
       O(arity) integer hash/equal and an allocation-free substitution
       application into a reusable scratch array.
 
-    The boxed API remains the parse/print boundary ([Dlgp], checkpoint
-    files, trace sinks): {!encode}/{!decode} convert at the edges, and
+    The boxed API remains the parse/print boundary ([Dlgp], WAL
+    records, trace sinks): {!encode}/{!decode} convert at the edges, and
     [decode ∘ encode] is the identity up to {!Atom.equal} (variable
     hints, which equality ignores, are not stored flat — consumers that
     print keep the boxed originals). *)

@@ -78,13 +78,13 @@ val reset_counter_for_tests : unit -> unit
 
 val counter_value : unit -> int
 (** Current value of the global freshness counter: the next rank
-    {!fresh_var} would issue.  Persisted by chase checkpoints so a
+    {!fresh_var} would issue.  Persisted by the chase's write-ahead log so a
     resumed run mints exactly the variables the uninterrupted run would
     have (DESIGN.md §11). *)
 
 val restore_counter_for_resume : int -> unit
 (** Set the freshness counter to an exact value, {e downward included}.
     Only sound when every term minted above the new value is being
-    discarded — i.e. from checkpoint resume (the aborted run's data is
+    discarded — i.e. from WAL recovery (the aborted run's data is
     dropped wholesale) before any new term is built.  Everywhere else,
     use {!Term.var_of_id}'s monotone bump. *)

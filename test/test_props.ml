@@ -33,10 +33,8 @@
        bytes, and the request grammar's parse ∘ print = id;
      - the WAL codec (DESIGN.md §16): record decode ∘ encode = id,
        every strict prefix of a record or frame is an error (torn, for
-       frames), single-byte flips never pass the CRC, both decoders are
-       total on random bytes, and the PR-5 text checkpoint reader is
-       total on byte soup, prefixes and corruptions of genuine
-       checkpoints. *)
+       frames), single-byte flips never pass the CRC, and both decoders
+       are total on random bytes. *)
 
 open Syntax
 
@@ -271,7 +269,7 @@ let strings =
 let gen_small rng = int_in rng 0 50
 
 let gen_event rng : Obs.Trace.event =
-  match int_in rng 0 16 with
+  match int_in rng 0 15 with
   | 0 ->
       Round_start
         { engine = pick rng strings; round = gen_small rng; size = gen_small rng }
@@ -351,16 +349,13 @@ let gen_event rng : Obs.Trace.event =
           lsn = gen_small rng;
           records = gen_small rng;
         }
-  | 15 ->
+  | _ ->
       Recovery_replayed
         {
           dir = pick rng strings;
           records = gen_small rng;
           torn = Random.State.bool rng;
         }
-  | _ ->
-      Checkpoint_written
-        { engine = pick rng strings; step = gen_small rng; path = pick rng strings }
 
 let shrink_event (e : Obs.Trace.event) : Obs.Trace.event list =
   (* shrink every integer field toward 0 and every string to "" *)
@@ -406,14 +401,6 @@ let shrink_event (e : Obs.Trace.event) : Obs.Trace.event list =
   | Deadline_hit f ->
       List.map (fun engine -> Obs.Trace.Deadline_hit { f with engine }) (str f.engine)
       @ List.map (fun step -> Obs.Trace.Deadline_hit { f with step }) (half f.step)
-  | Checkpoint_written f ->
-      List.map
-        (fun engine -> Obs.Trace.Checkpoint_written { f with engine })
-        (str f.engine)
-      @ List.map (fun path -> Obs.Trace.Checkpoint_written { f with path })
-          (str f.path)
-      @ List.map (fun step -> Obs.Trace.Checkpoint_written { f with step })
-          (half f.step)
   | Session_event f ->
       List.map (fun action -> Obs.Trace.Session_event { f with action }) (str f.action)
       @ List.map (fun session -> Obs.Trace.Session_event { f with session })
@@ -872,7 +859,7 @@ let request_roundtrip r = Pr.parse_request (Pr.print_request r) = Ok r
 (* WAL codec totality (DESIGN.md §16): typed records survive the binary
    round trip, every strict prefix of a frame is torn, single-byte
    damage never passes the checksum, and neither decoder ever raises on
-   byte soup.  Same discipline for the PR-5 text checkpoint parser. *)
+   byte soup. *)
 
 module Wr = Storage.Record
 module Wx = Storage.Xlog
@@ -1020,70 +1007,6 @@ let wal_decode_total s =
   (match Wr.decode s with Ok _ | Error _ -> true)
   && (match Wx.decode_frame s with Ok _ | Error _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* Text checkpoint parser totality (DESIGN.md §16 hardening): feed the
-   PR-5 reader random bytes, prefixes of a genuine checkpoint, and
-   single-byte corruptions of one — every failure must be a structured
-   [Error], never an exception. *)
-
-let valid_ckpt_bytes =
-  lazy
-    (Term.reset_counter_for_tests ();
-     let kb = Zoo.Staircase.kb () in
-     let path = Filename.temp_file "corechase" ".ckpt" in
-     Fun.protect
-       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-       (fun () ->
-         let budget = { Chase.Variants.max_steps = 8; max_atoms = 1_000 } in
-         let (_ : Chase.Variants.run) =
-           Chase.Variants.restricted ~budget
-             ~checkpoint:(fun st ->
-               Chase.Checkpoint.save ~path ~engine:"restricted" ~budget st)
-             kb
-         in
-         let ic = open_in_bin path in
-         Fun.protect
-           ~finally:(fun () -> close_in ic)
-           (fun () -> really_input_string ic (in_channel_length ic))))
-
-let ckpt_input_arb =
-  let gen rng =
-    let valid = Lazy.force valid_ckpt_bytes in
-    match Random.State.int rng 3 with
-    | 0 ->
-        (* raw byte soup *)
-        String.init (int_in rng 0 200) (fun _ ->
-            Char.chr (Random.State.int rng 256))
-    | 1 ->
-        (* a strict prefix of a genuine checkpoint *)
-        String.sub valid 0 (Random.State.int rng (String.length valid))
-    | _ ->
-        (* a genuine checkpoint with one byte flipped *)
-        let b = Bytes.of_string valid in
-        let pos = Random.State.int rng (Bytes.length b) in
-        Bytes.set b pos (Char.chr (Random.State.int rng 256));
-        Bytes.to_string b
-  in
-  let shrink s =
-    if s = "" then []
-    else
-      [ String.sub s 0 (String.length s / 2); String.sub s 1 (String.length s - 1) ]
-  in
-  { gen; shrink; print = (fun s -> Fmt.str "%S" s) }
-
-let checkpoint_reader_total bytes =
-  let path = Filename.temp_file "corechase" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc bytes;
-      close_out oc;
-      (match Chase.Checkpoint.read_header path with Ok _ | Error _ -> true)
-      &&
-      let kb = Zoo.Staircase.kb () in
-      match Chase.Checkpoint.load kb path with Ok _ | Error _ -> true)
-
 let suites =
   [
     ( "props.laws",
@@ -1133,7 +1056,5 @@ let suites =
           frame_flip_detected;
         check ~count:500 "wal decode total on random bytes" wire_bytes_arb
           wal_decode_total;
-        check ~count:200 "checkpoint reader total on byte soup"
-          ckpt_input_arb checkpoint_reader_total;
       ] );
   ]

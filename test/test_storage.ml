@@ -403,7 +403,6 @@ type runner = {
   ename : string;
   erun :
     ?resume:Chase.Variants.engine_state ->
-    ?checkpoint:(Chase.Variants.engine_state -> unit) ->
     ?journal:Chase.Variants.journal ->
     budget:Chase.Variants.budget ->
     Kb.t ->
@@ -415,27 +414,27 @@ let runners =
     {
       ename = "restricted";
       erun =
-        (fun ?resume ?checkpoint ?journal ~budget kb ->
-          Chase.Variants.restricted ~budget ?resume ?checkpoint ?journal kb);
+        (fun ?resume ?journal ~budget kb ->
+          Chase.Variants.restricted ~budget ?resume ?journal kb);
     };
     {
       ename = "frugal";
       erun =
-        (fun ?resume ?checkpoint ?journal ~budget kb ->
-          Chase.Variants.frugal ~budget ?resume ?checkpoint ?journal kb);
+        (fun ?resume ?journal ~budget kb ->
+          Chase.Variants.frugal ~budget ?resume ?journal kb);
     };
     {
       ename = "core";
       erun =
-        (fun ?resume ?checkpoint ?journal ~budget kb ->
-          Chase.Variants.core ~budget ?resume ?checkpoint ?journal kb);
+        (fun ?resume ?journal ~budget kb ->
+          Chase.Variants.core ~budget ?resume ?journal kb);
     };
     {
       ename = "core-round";
       erun =
-        (fun ?resume ?checkpoint ?journal ~budget kb ->
+        (fun ?resume ?journal ~budget kb ->
           Chase.Variants.core ~cadence:Chase.Variants.Every_round ~budget
-            ?resume ?checkpoint ?journal kb);
+            ?resume ?journal kb);
     };
   ]
 
@@ -444,6 +443,7 @@ let workloads =
     ("transitive-closure", Zoo.Classic.transitive_closure);
     ("staircase", Zoo.Staircase.kb);
     ("elevator", Zoo.Elevator.kb);
+    ("randomkb", fun () -> Zoo.Randomkb.generate ~seed:7 Zoo.Randomkb.datalog);
   ]
 
 let same_run label (a : Chase.Variants.run) (b : Chase.Variants.run) =
@@ -529,14 +529,8 @@ let wal_differential ~spec ~snapshot_every r (wname, build) =
   with_dir @@ fun dir ->
   (let w = ok (label ^ ": open") (W.open_dir ~snapshot_every ~quiet:true dir) in
    let journal = W.journal w ~engine:r.ename ~budget:diff_budget () in
-   let checkpoint =
-     if snapshot_every > 0 then
-       Some (W.checkpoint_hook w ~engine:r.ename ~budget:diff_budget ())
-     else None
-   in
    let (_ : Chase.Variants.run) =
-     with_faults spec (fun () ->
-         r.erun ~budget:diff_budget ?checkpoint ~journal kb2)
+     with_faults spec (fun () -> r.erun ~budget:diff_budget ~journal kb2)
    in
    (* no [W.close]: the kill left the handle behind; Sync_every already
       made every append durable *)
@@ -568,16 +562,20 @@ let differential_all () =
 let test_differential_jobs1 () = Par.with_jobs 1 differential_all
 
 let test_differential_jobs4 () =
-  (* the reduced matrix: the pool does not change journal contents, so
-     one spec per category suffices at jobs=4 *)
+  (* the pool changes the engine loop's schedule but not the journal's
+     contents: the clean round-boundary and mid-round kills on every
+     workload, one mid-fsync kill through snapshots *)
   Par.with_jobs 4 (fun () ->
       List.iter
         (fun r ->
           List.iter
             (fun w ->
-              wal_differential ~spec:"step:7:out_of_memory" ~snapshot_every:0 r w;
-              wal_differential ~spec:"wal:5:cancel" ~snapshot_every:2 r w)
-            [ List.hd workloads ])
+              wal_differential ~spec:"round:3:cancel" ~snapshot_every:0 r w;
+              wal_differential ~spec:"step:7:out_of_memory" ~snapshot_every:0
+                r w)
+            workloads;
+          wal_differential ~spec:"wal:5:cancel" ~snapshot_every:2 r
+            (List.hd workloads))
         runners)
 
 (* kill at every frame boundary and at a mid-frame byte after it: the
@@ -623,9 +621,11 @@ let test_boundary_sweep () =
         [ b; b + 5 ])
     boundaries
 
-(* library-level export/import round trip: recover → text checkpoint →
-   import into a fresh WAL → recover again → the same resumed run *)
-let test_export_import_roundtrip () =
+(* resume out of a snapshot: a budget-stopped run journaled with a
+   snapshot at every round boundary, recovered (snapshot records first,
+   then the log tail) and resumed with a larger budget, equals the run
+   the larger budget produces from scratch *)
+let test_resume_through_snapshot () =
   let r = List.nth runners 2 (* core *) in
   let build = Zoo.Staircase.kb in
   let small = { Chase.Variants.max_steps = 12; max_atoms = 5_000 } in
@@ -634,59 +634,27 @@ let test_export_import_roundtrip () =
   let reference = r.erun ~budget:big (build ()) in
   reset ();
   let kb2 = build () in
-  with_dir @@ fun dir1 ->
-  with_dir @@ fun dir2 ->
-  let ckpt = Filename.temp_file "corechase" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
-    (fun () ->
-      (let w = ok "open" (W.open_dir dir1) in
-       let journal = W.journal w ~engine:"core" ~budget:small () in
-       let (_ : Chase.Variants.run) = r.erun ~budget:small ~journal kb2 in
-       W.close w);
-      (* export: recover the log, save its boundary as a text checkpoint *)
-      reset ();
-      let kb3 = build () in
-      let w = ok "reopen" (W.open_dir dir1) in
-      let recovered = ok "recover" (W.recover w kb3) in
-      W.close w;
-      let state =
-        match recovered.W.r_state with
-        | Some s -> s
-        | None -> Alcotest.fail "no durable round to export"
-      in
-      Chase.Checkpoint.save ~path:ckpt ~engine:"core" ~budget:small state;
-      (* import: seed a fresh WAL from the text checkpoint *)
-      reset ();
-      let kb4 = build () in
-      let _, _, loaded =
-        ok "checkpoint load" (Chase.Checkpoint.load kb4 ckpt)
-      in
-      let w2 = ok "open import target" (W.open_dir dir2) in
-      ok "import" (W.import_state w2 ~engine:"core" ~budget:small loaded);
-      W.close w2;
-      (* a second import must refuse: the directory holds a log now *)
-      let w2b = ok "reopen import target" (W.open_dir dir2) in
-      let m =
-        expect_error "double import"
-          (W.import_state w2b ~engine:"core" ~budget:small loaded)
-      in
-      Alcotest.(check bool) "says it holds a log" true
-        (contains ~sub:"already holds a log" m);
-      W.close w2b;
-      (* resume out of the imported WAL with the larger budget *)
-      reset ();
-      let kb5 = build () in
-      let w3 = ok "reopen imported" (W.open_dir dir2) in
-      let rec2 = ok "recover imported" (W.recover w3 kb5) in
-      let journal =
-        W.journal w3 ~engine:"core" ~budget:big ~durable:rec2.W.r_durable ()
-      in
-      let resumed =
-        r.erun ~budget:big ?resume:rec2.W.r_state ~journal kb5
-      in
-      W.close w3;
-      same_run "import-resume" reference resumed)
+  with_dir @@ fun dir ->
+  (let w = ok "open" (W.open_dir ~snapshot_every:1 dir) in
+   let journal = W.journal w ~engine:"core" ~budget:small () in
+   let (_ : Chase.Variants.run) = r.erun ~budget:small ~journal kb2 in
+   W.close w);
+  Alcotest.(check bool) "snapshots were written" true
+    (Array.exists
+       (fun n -> Filename.check_suffix n ".snap")
+       (Sys.readdir dir));
+  reset ();
+  let kb3 = build () in
+  let w = ok "reopen" (W.open_dir ~snapshot_every:1 dir) in
+  let recovered = ok "recover" (W.recover w kb3) in
+  Alcotest.(check bool) "a round boundary is durable" true
+    (recovered.W.r_state <> None);
+  let journal =
+    W.journal w ~engine:"core" ~budget:big ~durable:recovered.W.r_durable ()
+  in
+  let resumed = r.erun ~budget:big ?resume:recovered.W.r_state ~journal kb3 in
+  W.close w;
+  same_run "snapshot-resume" reference resumed
 
 let test_recover_errors () =
   with_dir @@ fun dir ->
@@ -862,7 +830,7 @@ let suites =
         tc "kill/resume differential, jobs=1" test_differential_jobs1;
         tc "kill/resume differential, jobs=4" test_differential_jobs4;
         tc "kill at every frame boundary" test_boundary_sweep;
-        tc "export/import round trip" test_export_import_roundtrip;
+        tc "resume through a snapshot" test_resume_through_snapshot;
         tc "recover error taxonomy" test_recover_errors;
       ] );
     ( "storage.serve",
