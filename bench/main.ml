@@ -7,9 +7,9 @@
       shape the paper's artwork depicts, with pass/fail checks.
 
    2. Bechamel microbenchmarks — one Test.make per experiment workload
-      plus the ablation benches DESIGN.md §4 calls out (hom-search
-      ordering, core-fold strategy, treewidth heuristics, core-chase
-      cadence).
+      plus the abl:* rows DESIGN.md §4 calls out (the production hom
+      search, core folding and trigger discovery, treewidth heuristics,
+      core-chase cadence).
 
    Environment: BENCH_SCALE (default 1) lengthens the prefixes;
    BENCH_SKIP_MICRO=1 skips part 2 (used by quick CI runs). *)
@@ -181,35 +181,17 @@ let micro_tests =
         ignore (Treewidth.exact grid4)));
     (* ablations (DESIGN.md §4) *)
     Test.make ~name:"abl:hom-order:greedy" (Staged.stage (fun () ->
-        Homo.Hom.naive_order := false;
         ignore (Homo.Hom.count staircase_query staircase_instance)));
-    Test.make ~name:"abl:hom-order:naive" (Staged.stage (fun () ->
-        Homo.Hom.naive_order := true;
-        ignore (Homo.Hom.count staircase_query staircase_instance);
-        Homo.Hom.naive_order := false));
     Test.make ~name:"abl:index:on" (Staged.stage (fun () ->
-        Homo.Instance.use_indexes := true;
         ignore (Homo.Hom.count staircase_query staircase_instance)));
-    Test.make ~name:"abl:index:off" (Staged.stage (fun () ->
-        Homo.Instance.use_indexes := false;
-        ignore (Homo.Hom.count staircase_query staircase_instance);
-        Homo.Instance.use_indexes := true));
     Test.make ~name:"abl:core:by-variable" (Staged.stage (fun () ->
-        Homo.Core.strategy := Homo.Core.By_variable;
         ignore (Homo.Core.of_atomset step4)));
-    Test.make ~name:"abl:core:by-atom" (Staged.stage (fun () ->
-        Homo.Core.strategy := Homo.Core.By_atom;
-        ignore (Homo.Core.of_atomset step4);
-        Homo.Core.strategy := Homo.Core.By_variable));
     Test.make ~name:"abl:tw:min-fill" (Staged.stage (fun () ->
         ignore (Treewidth.upper_bound ~heuristic:Treewidth.Min_fill elevator_prefix)));
     Test.make ~name:"abl:tw:min-degree" (Staged.stage (fun () ->
         ignore (Treewidth.upper_bound ~heuristic:Treewidth.Min_degree elevator_prefix)));
-    Test.make ~name:"abl:datalog:naive" (Staged.stage (fun () ->
-        ignore (Chase.Datalog.saturate ~strategy:`Naive (Kb.rules tc_chain_kb)
-                  (Kb.facts tc_chain_kb))));
     Test.make ~name:"abl:datalog:seminaive" (Staged.stage (fun () ->
-        ignore (Chase.Datalog.saturate ~strategy:`Seminaive (Kb.rules tc_chain_kb)
+        ignore (Chase.Datalog.saturate (Kb.rules tc_chain_kb)
                   (Kb.facts tc_chain_kb))));
     Test.make ~name:"abl:cadence:every-app" (Staged.stage (fun () ->
         ignore (Chase.Variants.core ~cadence:Chase.Variants.Every_application
@@ -217,16 +199,10 @@ let micro_tests =
     Test.make ~name:"abl:cadence:every-round" (Staged.stage (fun () ->
         ignore (Chase.Variants.core ~cadence:Chase.Variants.Every_round
                   ~budget:(budget 15) (Zoo.Staircase.kb ()))));
-    (* trigger discovery: full per-round re-enumeration vs semi-naive delta.
-       The restricted chase isolates discovery cost (no core retractions);
-       the instance grows to ~200 atoms so re-enumeration has real work. *)
-    Test.make ~name:"abl:triggers:snapshot" (Staged.stage (fun () ->
-        Chase.Trigger.discovery := Chase.Trigger.Snapshot;
-        ignore
-          (Chase.Variants.restricted ~budget:(budget 60) (Zoo.Staircase.kb ()));
-        Chase.Trigger.discovery := Chase.Trigger.Delta));
+    (* trigger discovery: semi-naive delta discovery on a restricted
+       chase, which isolates discovery cost (no core retractions); the
+       instance grows to ~200 atoms. *)
     Test.make ~name:"abl:triggers:delta" (Staged.stage (fun () ->
-        Chase.Trigger.discovery := Chase.Trigger.Delta;
         ignore
           (Chase.Variants.restricted ~budget:(budget 60) (Zoo.Staircase.kb ()))));
     (* instance maintenance: of_atomset per step vs incremental add_atoms *)
@@ -244,62 +220,14 @@ let micro_tests =
              (fun idx a -> Homo.Instance.add_atoms idx [ a ])
              Homo.Instance.empty staircase_atoms_list)));
     (* incremental core maintenance (DESIGN.md §9): delta-scoped first
-       fold vs the exhaustive oracle, over the same core-chase workloads *)
+       fold over core-chase workloads *)
     Test.make ~name:"abl:core:scoped" (Staged.stage (fun () ->
-        Homo.Core.scoping := Homo.Core.Scoped;
         ignore (Chase.Variants.core ~budget:(budget 60) (Zoo.Staircase.kb ()));
         ignore (Chase.Variants.core ~budget:(budget 35) (Zoo.Elevator.kb ()))));
-    Test.make ~name:"abl:core:full" (Staged.stage (fun () ->
-        Homo.Core.scoping := Homo.Core.Exhaustive;
-        ignore (Chase.Variants.core ~budget:(budget 60) (Zoo.Staircase.kb ()));
-        ignore (Chase.Variants.core ~budget:(budget 35) (Zoo.Elevator.kb ()));
-        Homo.Core.scoping := Homo.Core.Scoped));
-  ]
-  (* hom result memo (DESIGN.md §12): measured on snapshot-mode
-     discovery, the memo's designed consumer — every round re-asks the
-     satisfaction question for every trigger, and the stale-witness
-     revalidation answers the repeats in O(|body|) lookups instead of
-     searches.  (Delta-mode discovery asks mostly-new questions each
-     round by design, so the memo's entry-retention cost there buys
-     only the audit/re-check hits.)  The on/off gap is a few percent,
-     smaller than the run-to-run drift of one OLS estimate on a shared
-     machine — so each arm is sampled three times, interleaved so slow
-     drift hits both arms alike, and the median lands under the
-     canonical [abl:hom:memo:{on,off}] names (the [run_micro]
-     bookkeeping below and bench_compare.py --memo-gate compare those
-     medians). *)
-  @ List.concat_map
-      (fun rep ->
-        [
-          Test.make ~name:(Printf.sprintf "abl:hom:memo:on:r%d" rep)
-            (Staged.stage (fun () ->
-                 Homo.Hom.memo_enabled := true;
-                 Chase.Trigger.discovery := Chase.Trigger.Snapshot;
-                 ignore
-                   (Chase.Variants.restricted ~budget:(budget 60)
-                      (Zoo.Staircase.kb ()));
-                 Chase.Trigger.discovery := Chase.Trigger.Delta));
-          Test.make ~name:(Printf.sprintf "abl:hom:memo:off:r%d" rep)
-            (Staged.stage (fun () ->
-                 Homo.Hom.memo_enabled := false;
-                 Chase.Trigger.discovery := Chase.Trigger.Snapshot;
-                 ignore
-                   (Chase.Variants.restricted ~budget:(budget 60)
-                      (Zoo.Staircase.kb ()));
-                 Chase.Trigger.discovery := Chase.Trigger.Delta;
-                 Homo.Hom.memo_enabled := true));
-        ])
-      [ 1; 2; 3 ]
-  @ [
-    (* atom representation (DESIGN.md §12): the flat interned solver vs
-       the boxed tree-walking reference on the same enumeration *)
+    (* atom representation (DESIGN.md §12): the flat interned solver on
+       the hom-order enumeration *)
     Test.make ~name:"abl:hom:repr:flat" (Staged.stage (fun () ->
-        Homo.Hom.flat_enabled := true;
         ignore (Homo.Hom.count staircase_query staircase_instance)));
-    Test.make ~name:"abl:hom:repr:boxed" (Staged.stage (fun () ->
-        Homo.Hom.flat_enabled := false;
-        ignore (Homo.Hom.count staircase_query staircase_instance);
-        Homo.Hom.flat_enabled := true));
     (* durability overhead (DESIGN.md §16): the same restricted chase
        with every derivation step journaled into a fresh WAL directory,
        once per fsync policy.  sync-every pays one fsync per record;
@@ -363,7 +291,7 @@ let counter_workloads =
         ignore (Chase.Variants.core ~budget:(budget 25) (Zoo.Elevator.kb ())));
     ("tc-chain:datalog", fun () ->
         ignore
-          (Chase.Datalog.saturate ~strategy:`Seminaive (Kb.rules tc_chain_kb)
+          (Chase.Datalog.saturate (Kb.rules tc_chain_kb)
              (Kb.facts tc_chain_kb)));
     ("elevator:exact-tw", fun () -> ignore (Treewidth.exact elevator_prefix));
   ]
@@ -551,55 +479,12 @@ let () =
   let thr_estimates, thr_identical =
     if skip_timed then ([], true) else run_throughput ()
   in
-  (* medians of the interleaved memo reps land under the canonical
-     names the gates compare (see the memo comment above) *)
-  let median3 vs =
-    let a = Array.of_list vs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let memo_medians =
-    List.filter_map
-      (fun which ->
-        match
-          List.filter_map
-            (fun r ->
-              List.assoc_opt
-                (Printf.sprintf "corechase abl:hom:memo:%s:r%d" which r)
-                estimates)
-            [ 1; 2; 3 ]
-        with
-        | [] -> None
-        | vs ->
-            Some (Printf.sprintf "corechase abl:hom:memo:%s" which, median3 vs))
-      [ "on"; "off" ]
-  in
   let estimates =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (estimates @ memo_medians @ thr_estimates)
+      (estimates @ thr_estimates)
   in
   write_results ~estimates ~counters;
-  (* Memo bookkeeping (DESIGN.md §12): the result memo must help on its
-     own bench row, not just avoid hurting — a memo:on estimate above
-     memo:off means the caching regressed into pure overhead and the run
-     fails loudly (scripts/bench_compare.py re-checks the committed
-     file the same way).  Compared on the medians-of-3; 2% tolerance
-     absorbs timer noise on runs where the two rows effectively tie. *)
-  let memo_ok =
-    match
-      ( List.assoc_opt "corechase abl:hom:memo:on" estimates,
-        List.assoc_opt "corechase abl:hom:memo:off" estimates )
-    with
-    | Some on, Some off ->
-        let pass = on <= off *. 1.02 in
-        Format.printf
-          "@.memo check (medians of 3): on %.1f ns vs off %.1f ns -> %s@." on
-          off
-          (if pass then "PASS" else "FAIL (memo:on slower than memo:off)");
-        pass
-    | _ -> true
-  in
   if not thr_identical then
     Format.printf "@.throughput check: FAIL (results differ across widths)@.";
-  if not (ok && memo_ok && thr_identical) then exit 1
+  if not (ok && thr_identical) then exit 1

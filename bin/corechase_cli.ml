@@ -89,26 +89,6 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:"Collect metrics during the run and print the registry afterwards.")
 
-(* incremental-core scoping (DESIGN.md §9) *)
-let core_scope_arg =
-  let scope_conv =
-    Arg.enum
-      [
-        ("delta", Homo.Core.Scoped);
-        ("full", Homo.Core.Exhaustive);
-        ("audit", Homo.Core.Audit);
-      ]
-  in
-  Arg.(
-    value
-    & opt scope_conv Homo.Core.Scoped
-    & info [ "core-scope" ] ~docv:"POLICY"
-        ~doc:
-          "Core-maintenance fold scoping: $(b,delta) restricts each step's \
-           first fold search to the delta's candidate set, $(b,full) always \
-           searches exhaustively, $(b,audit) runs both and fails on \
-           disagreement.")
-
 (* parallelism (DESIGN.md §10) *)
 let jobs_arg =
   let jobs_conv =
@@ -322,11 +302,10 @@ let run_batch ~file ~variant ~budget ~token ~trace ~metrics ~jobs =
 
 let chase_cmd =
   let run file variant engine steps atoms deadline verbose trace metrics
-      core_scope jobs batch wal wal_sync snap_every =
+      jobs batch wal wal_sync snap_every =
     if batch && (engine <> None || wal <> None) then
       die exit_input "--batch cannot be combined with --engine or --wal";
     if batch then begin
-      Homo.Core.scoping := core_scope;
       run_batch ~file ~variant ~budget:(budget_of steps atoms)
         ~token:(token_of_deadline deadline) ~trace ~metrics ~jobs
     end
@@ -339,7 +318,6 @@ let chase_cmd =
     | _ -> ());
     if engine <> None && wal <> None then
       die exit_input "--wal cannot be combined with --engine";
-    Homo.Core.scoping := core_scope;
     Corechase.Par.set_jobs jobs;
     let budget = budget_of steps atoms in
     let token = token_of_deadline deadline in
@@ -392,7 +370,7 @@ let chase_cmd =
   Cmd.v (Cmd.info "chase" ~doc:"Run a chase variant on a DLGP knowledge base.")
     CTerm.(
       const run $ file_arg $ variant_arg $ engine_arg $ steps_arg $ atoms_arg
-      $ deadline_arg $ verbose $ trace_arg $ metrics_arg $ core_scope_arg
+      $ deadline_arg $ verbose $ trace_arg $ metrics_arg
       $ jobs_arg $ batch
       $ wal_dir_arg $ wal_sync_arg $ snapshot_every_arg)
 
@@ -420,7 +398,7 @@ let resume_cmd =
     | _ -> ()
   in
   let run dir file_override steps atoms deadline verbose trace metrics
-      core_scope jobs wal_sync snap_every =
+      jobs wal_sync snap_every =
     (* [open_dir] creates missing directories (right for chase and
        serve); resuming a run that never existed must not *)
     if not (Sys.file_exists dir) then
@@ -463,7 +441,6 @@ let resume_cmd =
               Option.value atoms ~default:saved.Chase.Variants.max_atoms;
           }
         in
-        Homo.Core.scoping := core_scope;
         Corechase.Par.set_jobs jobs;
         let token = token_of_deadline deadline in
         let journal =
@@ -519,7 +496,7 @@ let resume_cmd =
           budget).")
     CTerm.(
       const run $ wal_dir $ file_override $ steps_override $ atoms_override
-      $ deadline_arg $ verbose $ trace_arg $ metrics_arg $ core_scope_arg
+      $ deadline_arg $ verbose $ trace_arg $ metrics_arg
       $ jobs_arg $ wal_sync_arg $ snapshot_every_arg)
 
 (* entail *)
@@ -673,8 +650,7 @@ let treewidth_cmd =
 
 (* repro *)
 let repro_cmd =
-  let run names scale trace metrics core_scope jobs =
-    Homo.Core.scoping := core_scope;
+  let run names scale trace metrics jobs =
     Corechase.Par.set_jobs jobs;
     let selected =
       if names = [] then Experiments.all
@@ -704,7 +680,7 @@ let repro_cmd =
   Cmd.v
     (Cmd.info "repro" ~doc:"Regenerate the paper's figures and tables.")
     CTerm.(
-      const run $ names $ scale $ trace_arg $ metrics_arg $ core_scope_arg
+      const run $ names $ scale $ trace_arg $ metrics_arg
       $ jobs_arg)
 
 (* dot *)

@@ -15,16 +15,6 @@ let derive_with indexed r seed =
       Atomset.to_list (Subst.apply h (Rule.head r)))
     (Homo.Hom.all ~seed (Rule.body r) indexed)
 
-let naive_round rules inst =
-  let indexed = Homo.Instance.of_atomset inst in
-  List.fold_left
-    (fun acc r ->
-      List.fold_left
-        (fun acc at -> if Atomset.mem at inst then acc else Atomset.add at acc)
-        acc
-        (derive_with indexed r Subst.empty))
-    Atomset.empty rules
-
 let seminaive_round rules inst delta =
   let indexed = Homo.Instance.of_atomset inst in
   List.fold_left
@@ -47,14 +37,10 @@ let seminaive_round rules inst delta =
         acc body_atoms)
     Atomset.empty rules
 
-let rounds ?(strategy = `Seminaive) rules facts =
+let rounds rules facts =
   check_datalog rules;
   let rec go inst delta acc =
-    let fresh =
-      match strategy with
-      | `Naive -> naive_round rules inst
-      | `Seminaive -> seminaive_round rules inst delta
-    in
+    let fresh = seminaive_round rules inst delta in
     if Atomset.is_empty fresh then List.rev acc
     else
       let inst' = Atomset.union inst fresh in
@@ -62,7 +48,7 @@ let rounds ?(strategy = `Seminaive) rules facts =
   in
   go facts facts [ facts ]
 
-let saturate ?strategy rules facts =
-  match List.rev (rounds ?strategy rules facts) with
+let saturate rules facts =
+  match List.rev (rounds rules facts) with
   | last :: _ -> last
   | [] -> facts

@@ -1,25 +1,18 @@
 (** Datalog saturation: the existential-free fragment, where the chase is
     plain fixpoint evaluation.
 
-    Two strategies:
-    - [`Naive]: re-derive everything each round until nothing is new;
-    - [`Seminaive]: classical delta-driven evaluation — each round only
-      matches rule bodies that use at least one atom derived in the
-      previous round (one seeded homomorphism search per (rule, body
-      position, delta atom)).
-
-    Both produce the unique minimal model of the datalog program over the
-    facts; the [abl:datalog] bench measures the difference. *)
+    Classical semi-naive (delta-driven) evaluation: each round only
+    matches rule bodies that use at least one atom derived in the
+    previous round (one seeded homomorphism search per (rule, body
+    position, delta atom)).  The result is the unique minimal model of
+    the datalog program over the facts. *)
 
 open Syntax
 
-val saturate :
-  ?strategy:[ `Naive | `Seminaive ] -> Rule.t list -> Atomset.t -> Atomset.t
-(** [saturate rules facts] (default [`Seminaive]).
+val saturate : Rule.t list -> Atomset.t -> Atomset.t
+(** [saturate rules facts].
     @raise Invalid_argument if some rule has existential variables. *)
 
-val rounds :
-  ?strategy:[ `Naive | `Seminaive ] -> Rule.t list -> Atomset.t ->
-  Atomset.t list
+val rounds : Rule.t list -> Atomset.t -> Atomset.t list
 (** The instance after each round, [facts] first (for inspection and
     tests). *)

@@ -1,8 +1,9 @@
 open Syntax
 
 (* Observability (DESIGN.md §8): enumeration work is counted at the two
-   primitives every discovery mode funnels through, so [Snapshot], [Delta]
-   and [Audit] all report the body homomorphisms they actually enumerated. *)
+   primitives discovery funnels through, so full and delta-anchored
+   discovery both report the body homomorphisms they actually
+   enumerated. *)
 let m_enumerated = Obs.Metrics.counter "chase.triggers_enumerated"
 
 let m_discoveries = Obs.Metrics.counter "chase.discoveries"
@@ -15,19 +16,16 @@ let m_discoveries = Obs.Metrics.counter "chase.discoveries"
 let m_minor_words = Obs.Metrics.counter "trigger.minor_words"
 
 (* Mapping keys (DESIGN.md §12): a substitution flattened to interned
-   codes, [(rank, code)] pairs in rank order ([Subst.to_list] is sorted),
-   prefixed with a kind tag and the rule id where the key names a
-   per-rule question.  Injective per (rule, mapping), so the memo and the
-   dedup table below partition exactly as the PR-3 formatted-string keys
-   did — at a hash cost of a few ints instead of a [Fmt.str] render. *)
-let mapping_key ~tag ~rid mapping =
+   codes, [(rank, code)] pairs in rank order ([Subst.to_list] is sorted).
+   Injective per mapping, so the per-rule dedup table below hashes a few
+   ints instead of rendering the substitution. *)
+let mapping_key mapping =
   let bindings = Subst.to_list mapping in
-  let key = Array.make (2 + (2 * List.length bindings)) tag in
-  key.(1) <- rid;
+  let key = Array.make (2 * List.length bindings) 0 in
   List.iteri
     (fun i (x, t) ->
-      key.((2 * i) + 2) <- Flat.code_of_term x;
-      key.((2 * i) + 3) <- Flat.code_of_term t)
+      key.(2 * i) <- Flat.code_of_term x;
+      key.((2 * i) + 1) <- Flat.code_of_term t)
     bindings;
   key
 
@@ -60,18 +58,9 @@ let is_trigger_for_in tr indexed =
     (Subst.apply tr.mapping (Rule.body tr.rule))
 
 let satisfied_in tr indexed =
-  (* π extends to a homomorphism from B ∪ H into the instance.  Failed
-     checks are memoised under the instance's generation: the rule id and
-     the flattened mapping pin the question, the epoch pins the target
-     content, so re-checking the same trigger against an unchanged
-     instance (engine re-check before the round's first firing, audit
-     double discovery) costs a table lookup. *)
+  (* π extends to a homomorphism from B ∪ H into the instance *)
   let src = Atomset.union (Rule.body tr.rule) (Rule.head tr.rule) in
-  let memo =
-    ( mapping_key ~tag:0 ~rid:(Rule.id tr.rule) tr.mapping,
-      Homo.Instance.generation indexed )
-  in
-  Homo.Hom.exists ~memo ~seed:tr.mapping src indexed
+  Homo.Hom.exists ~seed:tr.mapping src indexed
 
 let satisfied tr inst = satisfied_in tr (Homo.Instance.of_atomset inst)
 
@@ -147,7 +136,7 @@ let triggers_of_delta r indexed ~delta =
     let seen = Hashtbl.create 16 in
     let collect acc h =
       let tr = make r h in
-      let key = mapping_key ~tag:0 ~rid:(Rule.id r) tr.mapping in
+      let key = mapping_key tr.mapping in
       if Hashtbl.mem seen key then acc
       else begin
         Hashtbl.replace seen key ();
@@ -179,19 +168,18 @@ let triggers_of_delta r indexed ~delta =
    (DESIGN.md §10): body-hom enumeration per rule, then the satisfaction
    re-check per candidate trigger.  Merging is positional — the per-rule
    lists are concatenated in rule order and the filter keeps the
-   candidates' order — and enumeration never consults the failure memo
-   (the checks do, under per-trigger keys), so the trigger list, the
-   enumeration counters and the memo totals are identical to the
-   sequential nesting for every jobs count. *)
-let unsatisfied_triggers_in ?delta rules indexed =
+   candidates' order — so the trigger list and the enumeration counters
+   are identical to the sequential nesting for every jobs count. *)
+let all_triggers ?delta rules indexed =
   let rule_triggers r =
     match delta with
     | None -> triggers_of r indexed
     | Some delta -> triggers_of_delta r indexed ~delta
   in
-  let candidates =
-    List.concat (Par.map ~site:"trigger.enumerate" rule_triggers rules)
-  in
+  List.concat (Par.map ~site:"trigger.enumerate" rule_triggers rules)
+
+let unsatisfied_triggers_in ?delta rules indexed =
+  let candidates = all_triggers ?delta rules indexed in
   let satisfied =
     Par.map ~site:"trigger.satcheck"
       (fun tr -> satisfied_in tr indexed)
@@ -203,21 +191,6 @@ let unsatisfied_triggers_in ?delta rules indexed =
 
 let unsatisfied_triggers rules inst =
   unsatisfied_triggers_in rules (Homo.Instance.of_atomset inst)
-
-type discovery = Delta | Snapshot | Audit
-
-let discovery = ref Delta
-
-let same_set trs1 trs2 =
-  List.length trs1 = List.length trs2
-  && List.for_all (fun t1 -> List.exists (equal t1) trs2) trs1
-
-let audit_failure ~what snap del =
-  failwith
-    (Fmt.str
-       "Trigger.%s: delta discovery disagrees with the snapshot oracle (%d \
-        delta vs %d snapshot triggers)"
-       what (List.length del) (List.length snap))
 
 let observe_discovery ~what trs indexed =
   Obs.Metrics.incr m_discoveries;
@@ -234,53 +207,14 @@ let observe_discovery ~what trs indexed =
 let discover ?delta rules indexed =
   let trs =
     Obs.Metrics.count_minor_words m_minor_words (fun () ->
-        match (!discovery, delta) with
-        | Snapshot, _ | _, None -> unsatisfied_triggers_in rules indexed
-        | Delta, Some delta -> unsatisfied_triggers_in ~delta rules indexed
-        | Audit, Some delta ->
-            let snap = unsatisfied_triggers_in rules indexed in
-            let del = unsatisfied_triggers_in ~delta rules indexed in
-            if not (same_set snap del) then
-              audit_failure ~what:"discover" snap del;
-            snap)
+        unsatisfied_triggers_in ?delta rules indexed)
   in
   observe_discovery ~what:"discover" trs indexed
 
 let discover_all ?delta rules indexed =
-  let snapshot () =
-    List.concat
-      (Par.map ~site:"trigger.enumerate" (fun r -> triggers_of r indexed) rules)
-  in
   let trs =
     Obs.Metrics.count_minor_words m_minor_words (fun () ->
-        match (!discovery, delta) with
-        | Snapshot, _ | _, None -> snapshot ()
-        | Delta, Some delta ->
-            List.concat
-              (Par.map ~site:"trigger.enumerate"
-                 (fun r -> triggers_of_delta r indexed ~delta)
-                 rules)
-        | Audit, Some delta ->
-            let snap = snapshot () in
-            let del =
-              List.concat_map
-                (fun r -> triggers_of_delta r indexed ~delta)
-                rules
-            in
-            (* the delta set must be exactly the snapshot triggers whose
-               body image touches the delta *)
-            let touches tr =
-              not
-                (Atomset.is_empty
-                   (Atomset.inter delta
-                      (Subst.apply tr.mapping (Rule.body tr.rule))))
-            in
-            let expected = List.filter touches snap in
-            if not (same_set expected del) then
-              audit_failure ~what:"discover_all" expected del;
-            (* monotone engines deduplicate by trigger key themselves, so
-               the snapshot order can be returned unchanged *)
-            snap)
+        all_triggers ?delta rules indexed)
   in
   observe_discovery ~what:"discover_all" trs indexed
 

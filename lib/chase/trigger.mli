@@ -81,27 +81,21 @@ val unsatisfied_triggers_in : ?delta:Atomset.t -> Rule.t list -> Homo.Instance.t
     discovery is restricted to delta-anchored triggers
     ({!triggers_of_delta}). *)
 
-(** Trigger-discovery mode of the chase engines (the [abl:triggers]
-    ablation).  [Delta] (default) discovers per round only the triggers
-    anchored in the atoms added or rewritten since the previous round's
-    snapshot; [Snapshot] is the original full re-enumeration; [Audit]
-    computes both, raises [Failure] if they disagree (the correctness
-    oracle used by the differential tests), and proceeds with the
-    snapshot's deterministic order. *)
-type discovery = Delta | Snapshot | Audit
-
-val discovery : discovery ref
-
 val discover : ?delta:Atomset.t -> Rule.t list -> Homo.Instance.t -> t list
-(** The engine entry point for active-trigger (unsatisfied) discovery,
-    honouring {!discovery}.  [?delta] is the atoms added or rewritten
-    since the caller's previous discovery; omitted on the first round
-    (full enumeration regardless of mode). *)
+(** The engine entry point for active-trigger (unsatisfied) discovery.
+    [?delta] is the atoms added or rewritten since the caller's previous
+    discovery; only triggers anchored on a delta atom are enumerated
+    ({!triggers_of_delta}).  Omitted on the first round: full
+    enumeration.  Full enumeration on the same instance is the
+    specification the delta form is tested against: at an engine's
+    round boundary both find the same set, because every trigger whose
+    body image avoids the delta was already discovered, and dealt with,
+    in an earlier round. *)
 
 val discover_all : ?delta:Atomset.t -> Rule.t list -> Homo.Instance.t -> t list
 (** As {!discover} but without the satisfaction filter — all triggers, for
     the oblivious/skolem baselines (which deduplicate by trigger key
-    themselves).  In [Audit] mode the delta result is checked against the
-    snapshot triggers whose body image touches [delta]. *)
+    themselves).  With [?delta], exactly the triggers whose body image
+    touches [delta]. *)
 
 val pp : t Fmt.t

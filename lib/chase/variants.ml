@@ -114,8 +114,8 @@ type journal = journal_event -> unit
    — it is never rebuilt inside the loop.  Trigger discovery is
    delta-driven (semi-naive): each round only looks for triggers anchored
    in the atoms added or rewritten since the previous round's snapshot
-   (see Trigger.discover; the full re-enumeration survives as the
-   [Trigger.Snapshot]/[Trigger.Audit] oracle modes). *)
+   (see Trigger.discover; full re-enumeration is what the tests check
+   each round against). *)
 
 (* Round-based engine: [simplify] computes σ_i for a freshly produced
    pre-instance (receiving it also in indexed form, plus [added] — the

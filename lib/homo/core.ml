@@ -1,24 +1,11 @@
 open Syntax
 
-type strategy = By_variable | By_atom
-
-let strategy = ref By_variable
-
-(* Delta-scoped folding (DESIGN.md §9).  [Full] searches every variable
-   (resp. non-ground atom); [Delta] restricts the *first* fold search to
-   the candidate set derived from the step's delta, which is complete as
-   long as the pre-delta instance was a core.  Once one fold fires that
-   invariant is consumed and the loop falls back to the full search. *)
+(* Delta-scoped folding (DESIGN.md §9).  [Full] searches every variable;
+   [Delta] restricts the *first* fold search to the candidate set derived
+   from the step's delta, which is complete as long as the pre-delta
+   instance was a core.  Once one fold fires that invariant is consumed
+   and the loop falls back to the full search. *)
 type scope = Full | Delta of { fresh : Term.t list; added : Atom.t list }
-
-(* Scoping policy, mirroring [Trigger.discovery]'s trichotomy: [Scoped]
-   trusts the caller's [Delta] scopes, [Exhaustive] ignores them and
-   always folds fully (the oracle), [Audit] runs both and fails loudly on
-   disagreement (cores are compared up to isomorphism — they are only
-   unique up to iso once a fold has fired). *)
-type scoping = Scoped | Exhaustive | Audit
-
-let scoping = ref Scoped
 
 let m_scoped = Obs.Metrics.counter "core.scoped_searches"
 
@@ -28,44 +15,11 @@ let m_fallbacks = Obs.Metrics.counter "core.full_fallbacks"
 
 module TSet = Set.Make (Term)
 
-(* Memo keys (DESIGN.md §12): small int arrays over interned codes, one
-   kind tag per fold-candidate family so keys of different families can
-   never collide.  Tag 0 is [Trigger]'s satisfaction key; within a
-   family the remaining elements determine the candidate uniquely
-   ([key_pair] prefixes the first atom's arity so the two flattened
-   atoms cannot be re-bracketed into each other). *)
-let key_var x = [| 1; Flat.code_of_term x |]
-
-let key_atom at =
-  let f = Flat.encode at in
-  Array.concat [ [| 2; Flat.pred f |]; Flat.args f ]
-
-let key_fresh z = [| 3; Flat.code_of_term z |]
-
-let key_pair b d =
-  let fb = Flat.encode b and fd = Flat.encode d in
-  Array.concat
-    [
-      [| 4; Flat.arity fb; Flat.pred fb |];
-      Flat.args fb;
-      [| Flat.pred fd |];
-      Flat.args fd;
-    ]
-
-(* The fold search works on one index of the current instance; candidate
-   targets (the instance minus the atoms carrying one variable / minus one
-   atom) are derived from it by incremental removal rather than rebuilt.
-   Failed per-candidate searches are memoised under the base instance's
-   generation: within one epoch (notably when [Audit] re-runs the full
-   search after the scoped one) each candidate is searched at most once. *)
-let fold_via_var idx a epoch x =
-  let target = Instance.remove_atoms idx (Instance.atoms_with_term idx x) in
-  Hom.find ~memo:(key_var x, epoch) a target
-
-let fold_via_atom idx a epoch at =
-  if Atom.is_ground at then None
-  else
-    Hom.find ~memo:(key_atom at, epoch) a (Instance.remove_atoms idx [ at ])
+(* The fold search works on one index of the current instance; the
+   candidate target (the instance minus the atoms carrying one variable)
+   is derived from it by incremental removal rather than rebuilt. *)
+let fold_via_var idx a x =
+  Hom.find a (Instance.remove_atoms idx (Instance.atoms_with_term idx x))
 
 (* [Par.find_first_map] is [List.find_map] with jobs = 1; with a pool it
    evaluates the candidates in waves and keeps the lowest-index success,
@@ -73,14 +27,7 @@ let fold_via_atom idx a epoch at =
    the sequential search finds. *)
 let find_fold_indexed idx =
   let a = Instance.atomset idx in
-  let epoch = Instance.generation idx in
-  match !strategy with
-  | By_variable ->
-      Par.find_first_map ~site:"core.fold" (fold_via_var idx a epoch)
-        (Atomset.vars a)
-  | By_atom ->
-      Par.find_first_map ~site:"core.fold" (fold_via_atom idx a epoch)
-        (Atomset.to_list a)
+  Par.find_first_map ~site:"core.fold" (fold_via_var idx a) (Atomset.vars a)
 
 let find_fold a = find_fold_indexed (Instance.of_atomset a)
 
@@ -118,7 +65,6 @@ let find_fold_scoped idx ~fresh ~added =
   Resilience.Fault.hit "fold";
   Resilience.poll ();
   let a = Instance.atomset idx in
-  let epoch = Instance.generation idx in
   (* Both candidate families are enumerated (cheaply) up front on the
      calling domain, in the order the sequential search visits them; the
      seeded hom searches — the expensive part — then fan out over the
@@ -140,7 +86,7 @@ let find_fold_scoped idx ~fresh ~added =
         Subst.empty (Atomset.vars a)
   in
   let via_fresh z =
-    Hom.find ~memo:(key_fresh z, epoch) ~seed:keep_seed a
+    Hom.find ~seed:keep_seed a
       (Instance.remove_atoms idx (Instance.atoms_with_term idx z))
   in
   (* case (b): an old atom maps onto a new delta atom *)
@@ -164,13 +110,13 @@ let find_fold_scoped idx ~fresh ~added =
                          its image atom [d]; a pair moving one cannot
                          witness (b) *)
                       None
-                  | moved -> Some (b, d, h, moved)))
+                  | moved -> Some (h, moved)))
           (Instance.atoms_with_pred idx (Atom.pred d)))
       added
   in
-  let via_pair (b, d, h, moved) =
+  let via_pair (h, moved) =
     let dropped = List.concat_map (Instance.atoms_with_term idx) moved in
-    Hom.find ~memo:(key_pair b d, epoch) ~seed:h a
+    Hom.find ~seed:h a
       (Instance.remove_atoms idx dropped)
   in
   let searches = List.length alive_fresh + List.length pair_candidates in
@@ -202,32 +148,14 @@ let rec fold_loop sigma idx =
 
 let fold_to_core scope idx =
   match scope with
-  | Delta { fresh; added } when !scoping <> Exhaustive -> (
-      let scoped () =
-        match find_fold_scoped idx ~fresh ~added with
-        | None -> (Subst.empty, Instance.atomset idx)
-        | Some h ->
-            (* the core invariant is consumed by the first fold; finish
-               with the unconditional search *)
-            fold_loop (Subst.compose h Subst.empty) (Instance.apply_subst h idx)
-      in
-      match !scoping with
-      | Audit ->
-          let _, s_core = scoped () in
-          let f_sigma, f_core = fold_loop Subst.empty idx in
-          if
-            not
-              (Atomset.cardinal s_core = Atomset.cardinal f_core
-              && Morphism.isomorphic s_core f_core)
-          then
-            failwith
-              (Fmt.str
-                 "Core: delta-scoped fold disagrees with the full fold (%d \
-                  vs %d atoms)"
-                 (Atomset.cardinal s_core) (Atomset.cardinal f_core));
-          (f_sigma, f_core)
-      | _ -> scoped ())
-  | _ -> fold_loop Subst.empty idx
+  | Full -> fold_loop Subst.empty idx
+  | Delta { fresh; added } -> (
+      match find_fold_scoped idx ~fresh ~added with
+      | None -> (Subst.empty, Instance.atomset idx)
+      | Some h ->
+          (* the core invariant is consumed by the first fold; finish with
+             the unconditional search *)
+          fold_loop h (Instance.apply_subst h idx))
 
 let retraction_to_core_indexed ?(scope = Full) idx =
   let a = Instance.atomset idx in

@@ -14,23 +14,12 @@
     core, which we invert and pre-compose to obtain a genuine retraction
     (identity on the core's terms).  Completeness: a non-core finite
     atomset has a proper retraction, whose image omits at least one
-    variable, so the per-variable fold search cannot miss it.
-
-    Two fold strategies are available for ablation ([abl:core]):
-    [By_variable] (default) searches, per variable [x], for an
-    endomorphism into [A] minus the atoms containing [x];
-    [By_atom] searches, per non-ground atom [at], for an endomorphism into
-    [A ∖ {at}].  Both are complete; their search profiles differ. *)
+    variable, so the per-variable fold search cannot miss it. *)
 
 open Syntax
 
-type strategy = By_variable | By_atom
-
-val strategy : strategy ref
-(** Default [Whole_image]. *)
-
 type scope =
-  | Full  (** no precondition: search every variable / atom *)
+  | Full  (** no precondition: search every variable *)
   | Delta of { fresh : Term.t list; added : Atom.t list }
       (** incremental-core precondition (DESIGN.md §9): the instance is
           [A ∪ D] where [A] was a core and [D] is one step's delta.
@@ -41,19 +30,9 @@ type scope =
           unifier-seeded search per (old atom → new delta atom) pair — a
           failure of all of them certifies the instance is still a core;
           once a fold fires the remaining loop reverts to the full
-          search. *)
-
-type scoping = Scoped | Exhaustive | Audit
-
-val scoping : scoping ref
-(** Policy for honouring [Delta] scopes, mirroring
-    [Trigger.discovery]'s trichotomy ([--core-scope delta|full|audit]):
-    [Scoped] (default) trusts them; [Exhaustive] ignores them and always
-    folds fully (the oracle); [Audit] runs both and raises [Failure] if
-    the resulting cores are not isomorphic (returning the full-search
-    result).  Counted by [core.scoped_searches] /
-    [core.scoped_certified] / [core.full_fallbacks] and traced as
-    [Core_scoped_fold] events. *)
+          search.  Counted by [core.scoped_searches] /
+          [core.scoped_certified] / [core.full_fallbacks] and traced as
+          [Core_scoped_fold] events. *)
 
 val retraction_to_core : ?scope:scope -> Atomset.t -> Subst.t
 (** A retraction [σ] of the atomset with [σ(A)] a core.  The identity

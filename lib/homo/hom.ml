@@ -1,16 +1,5 @@
 open Syntax
 
-let naive_order = ref false
-
-(* Representation switch (DESIGN.md §12): the production solver runs on
-   the flat interned codes ([solve_flat]); the boxed tree-walking solver
-   is kept as the executable specification — the [abl:hom:repr] bench
-   row measures the gap and the property tests diff the two on random
-   inputs.  Both implement the same search (same atom selection, same
-   candidate order, same backtrack accounting), so flipping the switch
-   changes nothing observable but speed. *)
-let flat_enabled = ref true
-
 (* Observability (DESIGN.md §8): one counter pair for the backtracking
    search.  A "backtrack" is a candidate target atom that failed to extend
    the current partial homomorphism (or violated injectivity); the count is
@@ -18,7 +7,7 @@ let flat_enabled = ref true
    the registry / trace sink only when observability is live, so the
    disabled path adds nothing to the search itself.  [hom.minor_words]
    accumulates the solver's own minor-heap allocation (a [Gc.minor_words]
-   delta per call), making the flat path's allocation-free matching
+   delta per call), making the solver's allocation-free matching
    measurable rather than asserted. *)
 let m_solve_calls = Obs.Metrics.counter "hom.solve_calls"
 
@@ -43,125 +32,24 @@ let max_depth =
         | _ -> default_max_depth)
     | None -> default_max_depth)
 
-module TS = Set.Make (Term)
-
-let extend_pair sigma pat_t tgt_t acc_new =
-  match pat_t with
-  | Term.Const _ -> if Term.equal pat_t tgt_t then Some (sigma, acc_new) else None
-  | Term.Var _ -> (
-      match Subst.find pat_t sigma with
-      | Some img -> if Term.equal img tgt_t then Some (sigma, acc_new) else None
-      | None -> Some (Subst.add pat_t tgt_t sigma, (pat_t, tgt_t) :: acc_new))
-
-let extend_via_atom_full sigma pattern target =
+let extend_via_atom sigma pattern target =
   if
     (not (String.equal (Atom.pred pattern) (Atom.pred target)))
     || Atom.arity pattern <> Atom.arity target
   then None
   else
-    let rec go sigma acc_new ps ts =
-      match (ps, ts) with
-      | [], [] -> Some (sigma, acc_new)
-      | p :: ps', t :: ts' -> (
-          match extend_pair sigma p t acc_new with
-          | None -> None
-          | Some (sigma', acc') -> go sigma' acc' ps' ts')
-      | _ -> None
+    let extend sigma p t =
+      match (sigma, p) with
+      | None, _ -> None
+      | Some _, Term.Const _ -> if Term.equal p t then sigma else None
+      | Some s, Term.Var _ -> (
+          match Subst.find p s with
+          | Some img -> if Term.equal img t then sigma else None
+          | None -> Some (Subst.add p t s))
     in
-    go sigma [] (Atom.args pattern) (Atom.args target)
+    List.fold_left2 extend (Some sigma) (Atom.args pattern) (Atom.args target)
 
-let extend_via_atom sigma pattern target =
-  Option.map fst (extend_via_atom_full sigma pattern target)
-
-(* Boxed reference solver.  [k] is called on every solution; raising from
-   [k] aborts the search (used for early exit).  [bt]/[nodes] are owned
-   by the wrapper below. *)
-let solve_boxed ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
-    (tgt : Instance.t) : unit =
-  (* The not-yet-matched source atoms live in the prefix [0, live) of a
-     worklist array; each entry keeps its original rank so ties in the
-     most-constrained-first selection break exactly as they did when the
-     worklist was an ordered list.  Removal is an O(1) swap with the last
-     live slot.  Deeper recursion may permute the live prefix (swaps are
-     never undone on backtrack), which is harmless: the prefix always holds
-     the same *set* of atoms, and selection below is a function of
-     (candidate count, original rank), not of array order. *)
-  let arr =
-    Array.of_list (List.mapi (fun i a -> (i, a)) (Atomset.to_list src))
-  in
-  (* Under injectivity, track the set of image terms already in use.  The
-     initial set contains the seed's images and the source's constants
-     (which are their own images). *)
-  let init_used =
-    if not injective then TS.empty
-    else
-      List.fold_left
-        (fun used v ->
-          match Subst.find v seed with
-          | Some img -> TS.add img used
-          | None -> used)
-        (TS.of_list (Atomset.consts src))
-        (Atomset.vars src)
-  in
-  let rec go sigma used live =
-    incr nodes;
-    (* Deadline polls are decimated: one ambient-token check every 256
-       search nodes keeps the no-token path to an atomic read amortised
-       over the hot recursion (DESIGN.md §11). *)
-    if !nodes land 255 = 0 then Resilience.poll ();
-    if live = 0 then k sigma
-    else begin
-      let best = ref 0 in
-      if live > 1 then
-        if !naive_order then
-          (* fixed textual order: the live atom of smallest original rank *)
-          for i = 1 to live - 1 do
-            if fst arr.(i) < fst arr.(!best) then best := i
-          done
-        else begin
-          (* most-constrained-first: smallest candidate bucket.  One pass
-             per level; each count is read off the cached bucket
-             cardinalities.  Ties go to the smallest original rank — the
-             same atom the ordered-list version selected first. *)
-          let bc = ref (Instance.candidate_count tgt (snd arr.(0)) sigma) in
-          for i = 1 to live - 1 do
-            let c = Instance.candidate_count tgt (snd arr.(i)) sigma in
-            if c < !bc || (c = !bc && fst arr.(i) < fst arr.(!best)) then begin
-              best := i;
-              bc := c
-            end
-          done
-        end;
-      let chosen = arr.(!best) in
-      arr.(!best) <- arr.(live - 1);
-      arr.(live - 1) <- chosen;
-      match_next sigma used (snd chosen) (live - 1)
-    end
-  and match_next sigma used next live =
-    let try_candidate target_atom =
-      match extend_via_atom_full sigma next target_atom with
-      | None -> incr bt
-      | Some (sigma', new_bindings) ->
-          if injective then begin
-            (* each fresh image must be unused, and fresh images must be
-               pairwise distinct (checked by sequential insertion) *)
-            let rec check used = function
-              | [] -> Some used
-              | (_, img) :: rest ->
-                  if TS.mem img used then None
-                  else check (TS.add img used) rest
-            in
-            match check used new_bindings with
-            | None -> incr bt
-            | Some used' -> go sigma' used' live
-          end
-          else go sigma' used live
-    in
-    List.iter try_candidate (Instance.candidates tgt next sigma)
-  in
-  go seed init_used (Array.length arr)
-
-(* Flat solver: the same search over interned codes.  The source is
+(* The search runs over interned codes (DESIGN.md §12).  The source is
    encoded once per call — its variables get dense slots, each pattern
    atom becomes an [fpat] (original rank, pred id, codes with
    [lnot slot] for the variables, and the predicate's index handle,
@@ -170,7 +58,8 @@ let solve_boxed ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
    (slot -> code, [Flat.no_code] when unbound), candidate matching
    compares codes positionally, and undo pops a slot trail.  No
    [Subst.t], no [Term.t] and no list is built until a full solution is
-   emitted. *)
+   emitted.  [k] is called on every solution; raising from [k] aborts
+   the search (used for early exit). *)
 type fpat = {
   rank : int;
   fpred : int;
@@ -178,7 +67,7 @@ type fpat = {
   fidx : Instance.findex;
 }
 
-let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
+let search ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
     (tgt : Instance.t) : unit =
   let slot_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let rev_vars = ref [] in
@@ -188,7 +77,7 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
     | Term.Const _ ->
         (* interning (not [code_of_term_opt]): a never-seen constant gets
            a real id that no target atom carries, so it fails to match
-           exactly as boxed [Term.equal] does *)
+           exactly as [Term.equal] would *)
         Flat.code_of_term t
     | Term.Var v -> (
         match Hashtbl.find_opt slot_of v.Term.id with
@@ -243,10 +132,9 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
   end;
   (* Decode a full assignment back to a boxed substitution.  Images are
      decoded through the instance's witness terms, so variable hints (and
-     hence printed output) are the ones the target atoms carry — bit-
-     identical to what the boxed solver binds.  Every bound code comes
-     from a target atom, so the witness exists; the [Flat.term_of_code]
-     fallback is belt and braces. *)
+     hence printed output) are the ones the target atoms carry.  Every
+     bound code comes from a target atom, so the witness exists; the
+     [Flat.term_of_code] fallback is belt and braces. *)
   let emit () =
     let sigma = ref seed in
     for s = 0 to n - 1 do
@@ -270,8 +158,7 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
     done
   in
   (* positional match, binding fresh slots onto the trail; the
-     injectivity check interleaves (a conjunction — same accepted
-     candidates as the boxed check-after-match) *)
+     injectivity check interleaves: a fresh image must be unused *)
   let rec match_args fargs ta plen i =
     i >= plen
     ||
@@ -296,30 +183,25 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
     if live = 0 then k (emit ())
     else begin
       let best = ref 0 in
-      if live > 1 then
-        if !naive_order then
-          for i = 1 to live - 1 do
-            if pats.(i).rank < pats.(!best).rank then best := i
-          done
-        else begin
-          (* most-constrained-first over the cached bucket cardinalities;
-             identical bucket choice and tie-breaking to [solve_boxed].
-             A zero-cardinality count stops the scan: the node is a dead
-             end whichever zero-bucket pattern is charged with it, so
-             skipping the remaining counts changes nothing observable. *)
-          let p0 = pats.(0) in
-          let bc = ref (Instance.findex_count p0.fidx ~fargs:p0.fargs ~bind) in
-          let i = ref 1 in
-          while !bc > 0 && !i < live do
-            let p = pats.(!i) in
-            let c = Instance.findex_count p.fidx ~fargs:p.fargs ~bind in
-            if c < !bc || (c = !bc && p.rank < pats.(!best).rank) then begin
-              best := !i;
-              bc := c
-            end;
-            incr i
-          done
-        end;
+      if live > 1 then begin
+        (* most-constrained-first over the cached bucket cardinalities;
+           ties go to the smallest original rank.  A zero-cardinality
+           count stops the scan: the node is a dead end whichever
+           zero-bucket pattern is charged with it, so skipping the
+           remaining counts changes nothing observable. *)
+        let p0 = pats.(0) in
+        let bc = ref (Instance.findex_count p0.fidx ~fargs:p0.fargs ~bind) in
+        let i = ref 1 in
+        while !bc > 0 && !i < live do
+          let p = pats.(!i) in
+          let c = Instance.findex_count p.fidx ~fargs:p.fargs ~bind in
+          if c < !bc || (c = !bc && p.rank < pats.(!best).rank) then begin
+            best := !i;
+            bc := c
+          end;
+          incr i
+        done
+      end;
       let chosen = pats.(!best) in
       pats.(!best) <- pats.(live - 1);
       pats.(live - 1) <- chosen;
@@ -358,10 +240,7 @@ let solve ?(seed = Subst.empty) ?(injective = false) ~(k : Subst.t -> unit)
   if Atomset.cardinal src > !max_depth then raise Stdlib.Stack_overflow;
   let bt = ref 0 in
   let nodes = ref 0 in
-  let run () =
-    if !flat_enabled then solve_flat ~bt ~nodes ~seed ~injective ~k src tgt
-    else solve_boxed ~bt ~nodes ~seed ~injective ~k src tgt
-  in
+  let run () = search ~bt ~nodes ~seed ~injective ~k src tgt in
   if not (Obs.live ()) then run ()
   else begin
     Obs.Metrics.incr m_solve_calls;
@@ -385,58 +264,7 @@ let solve ?(seed = Subst.empty) ?(injective = false) ~(k : Subst.t -> unit)
 
 exception Stop
 
-(* Result memo (DESIGN.md §9, §12).  [find] results are cached under a
-   caller-supplied (key, epoch) pair: the key names the check (pattern,
-   seed, flags) stably, the epoch is an {!Instance.generation} that pins
-   the target content the result was observed against.  A stored entry is
-   valid only while its epoch matches the query's — generation advance is
-   the invalidation, no explicit flush needed.  Both outcomes are cached:
-   epochs are handed out per instance *value*, so an epoch match means
-   the search would run against the very same target (same atoms, same
-   bucket order) and — the solver being deterministic — return the very
-   same witness; replaying a stored success is as sound as replaying a
-   stored failure.  (PR-3 cached failures only, which starved the memo
-   exactly where it is needed: audit-mode discovery re-asks every
-   satisfaction question at an unchanged epoch, and most of those
-   succeed.)  Keys are small int arrays over interned codes: hashing one
-   is a few machine words, where the PR-3 string keys paid a
-   format-and-hash of whole term trees per probe — the reason the memo
-   used to lose to the searches it saved.  The table is bounded: at
-   [memo_max] entries it is reset wholesale (entries for dead epochs
-   dominate by then anyway). *)
-let memo_enabled = ref true
-
-let memo_max = 1 lsl 14
-
-(* One table per domain (domain-local storage): pool workers run
-   independent searches whose negative results are valid process-wide,
-   but sharing one [Hashtbl] across domains is unsound (concurrent
-   resize) and a mutex on the hot path costs more than the occasional
-   re-derivation of a failure.  Tables are never merged — a worker's
-   entry simply stays invisible to the others, which only loses hits
-   (DESIGN.md §10 weighs this against the rejected alternatives). *)
-(* Created at full capacity: the table is bounded by [memo_max] anyway,
-   so pre-sizing means no growth rehash ever happens and [Hashtbl.reset]
-   (which restores the creation capacity) keeps the bucket array. *)
-let memo_key = Domain.DLS.new_key (fun () -> Hashtbl.create memo_max)
-
-let memo_tbl () : (int array, int * Subst.t option) Hashtbl.t =
-  Domain.DLS.get memo_key
-
-let memo_clear () = Hashtbl.reset (memo_tbl ())
-
-(* Batch-task isolation (DESIGN.md §14): every [Par.Batch] task starts
-   with this domain's memo table empty, so a task never observes a
-   sibling's (or a previous tenant's) cached searches — the memo is
-   epoch-keyed and thus correctness-safe across tasks, but hit/miss
-   totals would depend on task-to-domain placement. *)
-let () = Par.Batch.add_reset_hook memo_clear
-
-let m_memo_hits = Obs.Metrics.counter "hom.memo_hits"
-
-let m_memo_misses = Obs.Metrics.counter "hom.memo_misses"
-
-let find_uncached ?seed ?injective src tgt =
+let find ?seed ?injective src tgt =
   let result = ref None in
   (try
      solve ?seed ?injective
@@ -447,54 +275,8 @@ let find_uncached ?seed ?injective src tgt =
    with Stop -> ());
   !result
 
-(* Stale-witness revalidation, the cross-epoch path of the memo: a
-   cached success [σ] from an older epoch is still a correct answer for
-   the {e current} target iff [σ(src) ⊆ tgt] — checked directly, in
-   O(|src|) index lookups, no search.  The resulting boolean is exact no
-   matter what the epochs did in between, so [exists]-style consumers
-   (trigger satisfaction, asked again and again about the same trigger
-   as the instance grows) may take it.  [find] consumers may not: a
-   revalidated witness need not be the witness a fresh search would
-   return, and the fold search's chosen witness steers the chase — so
-   witness-returning calls only replay exact-epoch entries, keeping
-   their results independent of cache state (jobs=1 ≡ jobs=4 holds for
-   outputs, not just for truth values). *)
-let witness_ok sigma src tgt =
-  Atomset.for_all (fun a -> Instance.mem tgt (Subst.apply_atom sigma a)) src
-
-let find_memo ~allow_stale ?seed ?injective ?memo src tgt =
-  match memo with
-  | Some (key, epoch) when !memo_enabled -> (
-      let tbl = memo_tbl () in
-      let search_and_store () =
-        if !Obs.Metrics.enabled then Obs.Metrics.incr m_memo_misses;
-        let r = find_uncached ?seed ?injective src tgt in
-        if Hashtbl.length tbl >= memo_max then Hashtbl.reset tbl;
-        Hashtbl.replace tbl key (epoch, r);
-        r
-      in
-      match Hashtbl.find_opt tbl key with
-      | Some (e, r) when e = epoch ->
-          if !Obs.Metrics.enabled then Obs.Metrics.incr m_memo_hits;
-          r
-      | Some (_, (Some sigma as r))
-        when allow_stale && injective <> Some true && witness_ok sigma src tgt
-        ->
-          if !Obs.Metrics.enabled then Obs.Metrics.incr m_memo_hits;
-          (* refresh: the witness was just proven valid at this epoch *)
-          Hashtbl.replace tbl key (epoch, r);
-          r
-      | _ -> search_and_store ())
-  | _ -> find_uncached ?seed ?injective src tgt
-
-let find ?seed ?injective ?memo src tgt =
-  find_memo ~allow_stale:false ?seed ?injective ?memo src tgt
-
-let exists ?seed ?injective ?memo src tgt =
-  match find_memo ~allow_stale:true ?seed ?injective ?memo src tgt with
-  | Some _ -> true
-  | None -> false
-
+let exists ?seed ?injective src tgt =
+  match find ?seed ?injective src tgt with Some _ -> true | None -> false
 let all ?seed ?injective ?limit src tgt =
   let acc = ref [] in
   let n = ref 0 in

@@ -4,8 +4,8 @@
     [π] with [π(A) ⊆ B].  Constants are fixed; variables may map to any
     term.  Deciding existence is the classical NP-complete CQ-evaluation
     problem; we use backtracking with dynamic most-constrained-atom-first
-    ordering over the indexed target (see DESIGN.md §4 and the
-    [abl:hom-order] bench). *)
+    ordering over the indexed target, matching on interned
+    {!Syntax.Flat} codes (DESIGN.md §4, §12). *)
 
 open Syntax
 
@@ -16,51 +16,17 @@ val extend_via_atom : Subst.t -> Atom.t -> Atom.t -> Subst.t option
     single-atom matching in dependency analysis. *)
 
 val find :
-  ?seed:Subst.t ->
-  ?injective:bool ->
-  ?memo:int array * int ->
-  Atomset.t ->
-  Instance.t ->
-  Subst.t option
+  ?seed:Subst.t -> ?injective:bool -> Atomset.t -> Instance.t -> Subst.t option
 (** [find src tgt] is a homomorphism from [src] into [tgt] extending
     [seed] (default: empty), restricted to the variables of [src] not bound
     by the seed plus the seed itself.  With [~injective:true] the returned
     substitution is injective on [terms src] (constants included: a variable
-    may not map onto a term that is already an image).
-
-    [~memo:(key, epoch)] enables the result memo: if a previous call with
-    the same [key] ran at the same [epoch], its result — [None] or the
-    witness substitution — is returned without searching; otherwise the
-    search runs and its result is recorded under [(key, epoch)].  A
-    key is a small int array: a kind tag followed by interned
-    {!Syntax.Flat} codes of whatever identifies the check — cheap to
-    build, cheap to hash, compared structurally (callers must not mutate
-    a key after passing it).  Correctness contract (caller's
-    responsibility): for a fixed [key], all calls at a given [epoch] must
-    pose the same question — same [src], [seed], [injective] and a target
-    constructed the same way from the same instance values.  Pass
-    [Instance.generation tgt] as the epoch (epochs are per instance
-    value, so an epoch match replays a search against the very same
-    target and the deterministic solver's very same answer) or, for
-    searches against instances derived from a common base, the base's
-    generation.  Counted by the [hom.memo_hits] / [hom.memo_misses]
-    metrics. *)
+    may not map onto a term that is already an image).  The search is
+    deterministic: the same question against the same instance value
+    returns the same witness. *)
 
 val exists :
-  ?seed:Subst.t ->
-  ?injective:bool ->
-  ?memo:int array * int ->
-  Atomset.t ->
-  Instance.t ->
-  bool
-
-val memo_enabled : bool ref
-(** Ablation switch ([abl:hom:memo]): when [false], [~memo] arguments are
-    ignored and every {!find}/{!exists} searches.  Default [true]. *)
-
-val memo_clear : unit -> unit
-(** Drop every cached failure.  Never required for correctness (epoch
-    mismatch already invalidates); useful to isolate benchmark runs. *)
+  ?seed:Subst.t -> ?injective:bool -> Atomset.t -> Instance.t -> bool
 
 val all :
   ?seed:Subst.t -> ?injective:bool -> ?limit:int -> Atomset.t -> Instance.t ->
@@ -83,20 +49,6 @@ val maps_to : Atomset.t -> Atomset.t -> bool
 
 val find_into : Atomset.t -> Atomset.t -> Subst.t option
 (** Like {!maps_to} but returns the witness. *)
-
-val naive_order : bool ref
-(** Ablation switch: when set, the solver matches source atoms in fixed
-    textual order instead of most-constrained-first.  Default [false]. *)
-
-val flat_enabled : bool ref
-(** Representation switch ([abl:hom:repr], DESIGN.md §12): when [true]
-    (the default) the solver backtracks over interned {!Syntax.Flat}
-    codes — int compares, a slot trail for undo, no intermediate
-    [Term.t] or [Subst.t] values; when [false] it runs the boxed
-    tree-walking reference implementation.  Both perform the same
-    search (same selection, candidate order, backtrack counts,
-    solutions), differing only in speed — the property suite diffs
-    them on random inputs. *)
 
 val max_depth : int ref
 (** Stack-overflow guard (DESIGN.md §11): the search recurses once per

@@ -5,14 +5,14 @@ module AMap = Map.Make (Atom)
 
 (* Generation epochs.  A single process-wide counter hands out a fresh
    epoch to every instance value whose content differs from its parent's,
-   so equal generations imply equal atom sets — the property memo tables
-   key on.  The converse does not hold (two independently built instances
-   with the same atoms get different generations); caches keyed on
-   generations can therefore only lose hits, never correctness. *)
+   so equal generations imply equal atom sets, and birth stamps taken
+   from the same clock order every atom's arrival ([atoms_since]).  The
+   converse does not hold (two independently built instances with the
+   same atoms get different generations). *)
 (* Atomic: instances are built from worker domains too (scoped fold
    searches, tests hammering allocation from raw domains), and a
-   duplicated epoch would alias two different contents in the hom memo —
-   a correctness bug, not just a lost hit. *)
+   duplicated epoch would give two different contents the same
+   generation. *)
 let gen_counter = Atomic.make 0
 
 let next_gen () = Atomic.fetch_and_add gen_counter 1 + 1
@@ -21,9 +21,8 @@ let generation_counter_value () = Atomic.get gen_counter
 
 (* WAL recovery restores the epoch clock monotonically: raising it
    to at least the persisted value keeps every post-resume generation
-   distinct from every logged one, so memo entries can never
-   alias across the resume boundary.  Never set it down — stale memo
-   entries keyed on a re-issued epoch would be a correctness bug. *)
+   distinct from every logged one.  Never set it down — a re-issued
+   epoch would let two different contents share a generation. *)
 let ensure_generation_counter_at_least n =
   let rec bump () =
     let cur = Atomic.get gen_counter in
@@ -38,7 +37,7 @@ let ensure_generation_counter_at_least n =
 type fentry = { flat : Flat.t; boxed : Atom.t }
 
 (* A bucket caches its cardinality: selectivity comparisons in
-   [fselect_*] and candidate counting in the hom search read [n]
+   [findex_select] and candidate counting in the hom search read [n]
    instead of walking [items]. *)
 type bucket = { n : int; items : fentry list }
 
@@ -313,20 +312,12 @@ let term_of_code ins c =
   | Some (w, _) -> Some w
   | None -> None
 
-let use_indexes = ref true
+(* A pattern's selection handle is its predicate's [pindex], resolved
+   once per pattern per solve call — the per-node selection below never
+   touches [by_pred] again. *)
+type findex = pindex
 
-let all_atoms ins = Atomset.to_list ins.atoms
-
-let fall_entries ins =
-  List.rev (AMap.fold (fun _ { entry; _ } acc -> entry :: acc) ins.info [])
-
-(* A pattern's selection handle: the instance (for the index-free
-   fallback) plus its predicate's [pindex], resolved once per pattern
-   per solve call — the per-node selection below never touches
-   [by_pred] again. *)
-type findex = { f_ins : t; f_pi : pindex }
-
-let findex ins ~pred = { f_ins = ins; f_pi = pred_index ins pred }
+let findex ins ~pred = pred_index ins pred
 
 (* The most selective index entry for a flat pattern: among argument
    positions whose pattern code is concrete — a constant, or a search
@@ -339,9 +330,8 @@ let findex ins ~pred = { f_ins = ins; f_pi = pred_index ins pred }
    short-circuits: nothing beats it, and every empty bucket has the
    same (empty) item list, so the early exit is invisible to the
    search. *)
-let findex_select fi ~fargs ~bind =
+let findex_select pi ~fargs ~bind =
   let n = Array.length fargs in
-  let pi = fi.f_pi in
   let rec go i best =
     if i >= n || best.n = 0 then best
     else
@@ -354,50 +344,9 @@ let findex_select fi ~fargs ~bind =
   in
   go 0 pi.all
 
-let findex_count fi ~fargs ~bind =
-  if !use_indexes then (findex_select fi ~fargs ~bind).n
-  else Atomset.cardinal fi.f_ins.atoms
+let findex_count fi ~fargs ~bind = (findex_select fi ~fargs ~bind).n
 
-let findex_items fi ~fargs ~bind =
-  if !use_indexes then (findex_select fi ~fargs ~bind).items
-  else fall_entries fi.f_ins
-
-(* Boxed front-end to the same selection, for the reference solver and
-   direct index queries: the pattern is encoded per call (constants that
-   were never interned select the empty bucket — nothing can match
-   them). *)
-let best_bucket ins pattern sigma =
-  match Flat.Symtab.find (Atom.pred pattern) with
-  | None -> bucket_empty
-  | Some pid ->
-      let pi = pred_index ins pid in
-      let best = ref pi.all in
-      List.iteri
-        (fun i arg ->
-          let img =
-            match arg with
-            | Term.Const _ -> Some arg
-            | Term.Var _ -> Subst.find arg sigma
-          in
-          match img with
-          | None -> ()
-          | Some img ->
-              let b =
-                match Flat.code_of_term_opt img with
-                | None -> bucket_empty
-                | Some c -> pos_bucket pi i c
-              in
-              if b.n < !best.n then best := b)
-        (Atom.args pattern);
-      !best
-
-let candidates ins pattern sigma =
-  if !use_indexes then boxed_items (best_bucket ins pattern sigma)
-  else all_atoms ins
-
-let candidate_count ins pattern sigma =
-  if !use_indexes then (best_bucket ins pattern sigma).n
-  else Atomset.cardinal ins.atoms
+let findex_items fi ~fargs ~bind = (findex_select fi ~fargs ~bind).items
 
 let invariants_ok ins =
   let fresh = of_atomset ins.atoms in

@@ -12,7 +12,7 @@
     updatable}: chase engines build the index once per run and patch it
     per step with {!add_atoms} / {!apply_subst} instead of rebuilding it
     per satisfaction check (see DESIGN.md §7 and the [abl:index]
-    ablation bench).
+    bench rows).
 
     Since the flat-representation refactor (DESIGN.md §12) the indexes
     are keyed on interned {!Syntax.Flat} codes — bucket selection
@@ -48,16 +48,15 @@ val apply_subst : Subst.t -> t -> t
 val atomset : t -> Atomset.t
 
 val generation : t -> int
-(** Cache epoch of this instance value.  Epochs are handed out by a
+(** Epoch of this instance value.  Epochs are handed out by a
     process-wide counter: every content-changing operation
     ({!add_atoms}, {!remove_atoms}, {!apply_subst}) returns an instance
     with a fresh, strictly larger generation, while no-op updates keep
     the old one.  Consequently equal generations imply equal atom sets,
-    which makes the generation a sound invalidation key for memo tables
-    over instances (see {!Hom.find}'s failure memo).  The converse does
-    not hold — equal content rebuilt independently gets a different
-    epoch — so generation-keyed caches can lose hits but never give
-    stale answers.  [empty] has generation [0]. *)
+    and birth stamps ({!born}) taken from the same clock order atom
+    arrivals.  The converse does not hold — equal content rebuilt
+    independently gets a different epoch.  [empty] has generation
+    [0]. *)
 
 val generation_counter_value : unit -> int
 (** Current value of the process-wide epoch counter.  Persisted by the
@@ -66,8 +65,7 @@ val generation_counter_value : unit -> int
 val ensure_generation_counter_at_least : int -> unit
 (** Raise the epoch counter to at least the given value (monotone: a
     smaller value is a no-op).  WAL recovery calls this so no
-    post-resume instance can re-issue a logged epoch and alias a
-    stale memo entry. *)
+    post-resume instance can re-issue a logged epoch. *)
 
 val born : t -> Atom.t -> int option
 (** [born ins a] is the generation stamp at which [a]'s current entry was
@@ -93,16 +91,6 @@ val atoms_with_pred_pos_term : t -> string -> int -> Term.t -> Atom.t list
 val atoms_with_term : t -> Term.t -> Atom.t list
 (** All atoms containing the given term at some position. *)
 
-val candidates : t -> Atom.t -> Subst.t -> Atom.t list
-(** [candidates ins pattern σ]: a superset of the atoms of [ins] that the
-    [pattern] atom can map to under an extension of [σ].  Uses the most
-    selective index available given the pattern's constants and
-    [σ]-bound variables; callers still verify full consistency. *)
-
-val candidate_count : t -> Atom.t -> Subst.t -> int
-(** Length of {!candidates}, read off the cached bucket cardinalities
-    without walking any atom list. *)
-
 type fentry = private { flat : Flat.t; boxed : Atom.t }
 (** One stored atom, in both representations: [flat] drives matching,
     [boxed] is the original (hints intact) that solutions are built
@@ -123,14 +111,12 @@ val findex_count : findex -> fargs:int array -> bind:int array -> int
     [fargs] is the pattern's argument codes with search variables
     encoded as [lnot slot], and [bind.(slot)] the code currently bound
     to that slot ([Flat.no_code] when unbound).  Integer map lookups
-    only — no allocation, no atom list walked.  Honours {!use_indexes}
-    (off: instance cardinality). *)
+    only — no allocation, no atom list walked. *)
 
 val findex_items : findex -> fargs:int array -> bind:int array -> fentry list
 (** The entries of the bucket {!findex_count} measured, newest first —
-    the same atoms, in the same order, as the boxed {!candidates} on the
-    equivalent pattern.  Honours {!use_indexes} (off: all entries,
-    sorted by {!Syntax.Atom.compare}). *)
+    the same atoms, in the same order, as {!atoms_with_pred} /
+    {!atoms_with_pred_pos_term} return for that bucket. *)
 
 val term_of_code : t -> int -> Term.t option
 (** A boxed witness of the given code among the instance's atoms:
@@ -144,9 +130,3 @@ val invariants_ok : t -> bool
     the incremental-update property tests. *)
 
 val pp : t Fmt.t
-
-val use_indexes : bool ref
-(** Ablation switch ([abl:index]): when [false], {!candidates} ignores the
-    indexes and returns the whole atom list (the matcher still rejects
-    non-matching atoms, so results are unchanged — only slower).  Default
-    [true]. *)

@@ -417,14 +417,7 @@ module Batch = struct
 
   let g_queue_depth = lazy (Obs.Metrics.gauge "par.queue_depth")
 
-  let reset_hooks : (unit -> unit) list ref = ref []
-
-  let add_reset_hook f = reset_hooks := f :: !reset_hooks
-
   (* Run one task under full isolation:
-     - registered reset hooks clear ambient per-domain caches (the hom
-       failure/success memo registers one) so a task never observes a
-       sibling's — or a previous tenant's — cache;
      - [Term.with_local_counter] gives the task a private fresh-var
        counter starting at 0, so it mints exactly the ranks a
        sequential loop would;
@@ -437,7 +430,6 @@ module Batch = struct
        deterministic [Batch_task] summaries after the barrier instead.
      A task failure is its own [Error] — sibling tasks are unaffected. *)
   let isolated ?token (f : unit -> 'a) : ('a, exn) result =
-    List.iter (fun h -> h ()) !reset_hooks;
     let token =
       match token with Some _ as t -> t | None -> Resilience.ambient ()
     in

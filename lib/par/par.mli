@@ -145,8 +145,7 @@ end
     §14): a private fresh-variable counter starting at 0
     ({!Syntax.Term.with_local_counter}), a private ambient-token scope
     seeded from the submission's token ({!Resilience.with_task_scope}),
-    registered cache-reset hooks (the hom memo registers one), and a
-    muted trace ({!Obs.Trace.with_muted}).  Consequently the result
+    and a muted trace ({!Obs.Trace.with_muted}).  Consequently the result
     array is byte-identical to a sequential loop over the tasks, in
     submission order, at any pool width.
 
@@ -180,10 +179,4 @@ module Batch : sig
 
   val map : ?site:string -> ('a -> 'b) -> 'a list -> ('b, exn) result list
   (** List convenience over {!run}. *)
-
-  val add_reset_hook : (unit -> unit) -> unit
-  (** Register a hook run on the executing domain at the start of every
-      task, before its body: reset ambient per-domain caches so a task
-      never observes a sibling's (or a previous tenant's) state.
-      Hooks must be idempotent, cheap, and domain-local. *)
 end

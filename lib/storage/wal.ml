@@ -57,7 +57,9 @@ type t = {
   sync_policy : sync_policy;
   snapshot_every : int;
   quiet : bool;
-  mutable writer : Xlog.writer;
+  mutable writer : Xlog.writer option;
+      (** [None] until the first append into an empty directory: opening
+          a directory never creates a file in it *)
   mutable segment_first : int;  (** first LSN of the writer's segment *)
   mutable next_lsn : int;
   mutable unsynced : int;
@@ -232,13 +234,11 @@ let open_dir ?(sync = Sync_every) ?(snapshot_every = 0) ?(quiet = false) dir =
       let writer, segment_first =
         match last_seg with
         | Some (n, path, scan) ->
-            ( Xlog.append_writer ~magic:Xlog.wal_magic path
-                ~valid_size:scan.Xlog.valid_size,
+            ( Some
+                (Xlog.append_writer ~magic:Xlog.wal_magic path
+                   ~valid_size:scan.Xlog.valid_size),
               n )
-        | None ->
-            ( Xlog.create_writer ~magic:Xlog.wal_magic
-                (Filename.concat dir (seg_name next_lsn)),
-              next_lsn )
+        | None -> (None, next_lsn)
       in
       let t =
         {
@@ -267,16 +267,31 @@ let open_dir ?(sync = Sync_every) ?(snapshot_every = 0) ?(quiet = false) dir =
 (* Appending *)
 
 let do_sync t =
-  Xlog.sync t.writer;
-  t.unsynced <- 0;
-  if !Obs.Metrics.enabled then Obs.Metrics.incr m_fsyncs
+  match t.writer with
+  | None -> ()
+  | Some w ->
+      Xlog.sync w;
+      t.unsynced <- 0;
+      if !Obs.Metrics.enabled then Obs.Metrics.incr m_fsyncs
+
+(* the segment a fresh log starts in is created by its first record *)
+let writer t =
+  match t.writer with
+  | Some w -> w
+  | None ->
+      let w =
+        Xlog.create_writer ~magic:Xlog.wal_magic
+          (Filename.concat t.dir (seg_name t.segment_first))
+      in
+      t.writer <- Some w;
+      w
 
 let sync t = if not t.closed then do_sync t
 
 let append t record =
   if t.closed then invalid_arg "Wal.append: closed";
   let payload = Record.encode record in
-  Xlog.append t.writer ~lsn:t.next_lsn payload;
+  Xlog.append (writer t) ~lsn:t.next_lsn payload;
   t.next_lsn <- t.next_lsn + 1;
   if !Obs.Metrics.enabled then Obs.Metrics.incr m_appends;
   (* the mid-fsync kill window: the frame is written but not yet
@@ -292,7 +307,7 @@ let append t record =
 let close t =
   if not t.closed then begin
     (try do_sync t with Unix.Unix_error _ -> ());
-    Xlog.close_writer t.writer;
+    Option.iter Xlog.close_writer t.writer;
     t.closed <- true
   end
 
@@ -322,10 +337,11 @@ let write_snapshot t records =
     (* rotate to a fresh segment so recovery never re-reads frames the
        snapshot already covers *)
     if t.segment_first < t.next_lsn then begin
-      Xlog.close_writer t.writer;
+      Option.iter Xlog.close_writer t.writer;
       let seg = seg_name t.next_lsn in
       t.writer <-
-        Xlog.create_writer ~magic:Xlog.wal_magic (Filename.concat t.dir seg);
+        Some
+          (Xlog.create_writer ~magic:Xlog.wal_magic (Filename.concat t.dir seg));
       t.segment_first <- t.next_lsn;
       t.unsynced <- 0;
       if Obs.Trace.enabled () then

@@ -46,7 +46,9 @@ val open_dir :
     {!maybe_snapshot} cadence (0, the default, disables automatic
     snapshots); [quiet] suppresses the torn-tail warning on stderr.
     Removes leftover snapshot temp files; truncates a torn tail in the
-    final segment; refuses mid-file corruption with [Error]. *)
+    final segment; refuses mid-file corruption with [Error].  An empty
+    directory stays empty until the first {!append} creates the first
+    segment. *)
 
 val dir : t -> string
 

@@ -1,24 +1,12 @@
-type t = { id : int; name : string; body : Atomset.t; head : Atomset.t }
-
-(* Every constructed rule value gets a process-unique id.  It carries no
-   semantics ([compare]/[equal] ignore it); it exists so caches can key on
-   a rule without printing it — two structurally equal rules built twice
-   get different ids, which costs cache hits but never correctness. *)
-let id_counter = ref 0
-
-let fresh_id () =
-  incr id_counter;
-  !id_counter
+type t = { name : string; body : Atomset.t; head : Atomset.t }
 
 let make_sets ?(name = "") ~body ~head () =
   if Atomset.is_empty body then invalid_arg "Rule.make: empty body";
   if Atomset.is_empty head then invalid_arg "Rule.make: empty head";
-  { id = fresh_id (); name; body; head }
+  { name; body; head }
 
 let make ?name ~body ~head () =
   make_sets ?name ~body:(Atomset.of_list body) ~head:(Atomset.of_list head) ()
-
-let id r = r.id
 
 let name r = r.name
 
@@ -60,7 +48,6 @@ let rename_apart r =
       Subst.empty (vars r)
   in
   {
-    id = fresh_id ();
     name = r.name;
     body = Subst.apply renaming r.body;
     head = Subst.apply renaming r.head;

@@ -7,7 +7,6 @@
     [∀X⃗ Y⃗. B[X⃗,Y⃗] → ∃Z⃗. H[X⃗,Z⃗]]. *)
 
 type t = private {
-  id : int;  (** process-unique; no semantics, cache key only *)
   name : string;
   body : Atomset.t;
   head : Atomset.t;
@@ -17,11 +16,6 @@ val make : ?name:string -> body:Atom.t list -> head:Atom.t list -> unit -> t
 (** @raise Invalid_argument if body or head is empty. *)
 
 val make_sets : ?name:string -> body:Atomset.t -> head:Atomset.t -> unit -> t
-
-val id : t -> int
-(** A process-unique stamp assigned at construction ({!rename_apart}
-    included).  Ignored by {!compare}/{!equal}; intended as a stable,
-    collision-free cache-key ingredient (see {!Homo.Hom.find}'s memo). *)
 
 val name : t -> string
 

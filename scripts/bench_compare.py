@@ -2,7 +2,6 @@
 """Compare a fresh benchmark run against the committed baseline.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [TOLERANCE]
-       bench_compare.py --memo-gate CURRENT.json
        bench_compare.py --route-gate CURRENT.json
        bench_compare.py --scaling-gate CURRENT.json
 
@@ -18,10 +17,6 @@ Exit status:
   1  tolerance regressions only (warn-only — marks the job, not the
      workflow)
   2  usage / malformed input
-  3  memo gate violation: the "abl:hom:memo:on" row is slower than
-     "abl:hom:memo:off" in CURRENT.  This one is a hard failure — a memo
-     that loses to its own ablation is a correctness-of-purpose bug, not
-     runner noise — so CI runs it as a non-warn step (--memo-gate).
   4  route gate violation: some "abl:route:auto:<family>" row is slower
      than ROUTE_PAD x the best fixed-engine row for that family.  The
      router's whole point is picking an engine no worse than the best
@@ -42,17 +37,6 @@ import json
 import os
 import sys
 
-MEMO_ON = "corechase abl:hom:memo:on"
-MEMO_OFF = "corechase abl:hom:memo:off"
-# Per-rep rows behind the canonical medians; the gate recomputes the
-# median itself when these are present so a stale canonical row can't
-# mask (or fake) a regression.
-MEMO_REPS = (1, 2, 3)
-
-# Shared runners are noisy even between two rows of the same run; allow
-# the memo row a small pad before calling it a regression.
-MEMO_PAD = 1.10
-
 THR_ROW = "corechase thr:batch:jobs%d"
 SCALING_MIN_SPEEDUP = 1.5
 SCALING_MIN_CORES = 4
@@ -66,51 +50,6 @@ ROUTE_PAD = 1.20
 def load(path):
     with open(path) as f:
         return json.load(f)
-
-
-def median(values):
-    values = sorted(values)
-    return values[len(values) // 2]
-
-
-def memo_row(bench, canonical):
-    """The median of the :r1..:r3 rep rows when present, else the
-    canonical row itself; (value, label) or (None, label)."""
-    reps = [
-        bench.get("%s:r%d" % (canonical, r))
-        for r in MEMO_REPS
-    ]
-    reps = [v for v in reps if isinstance(v, (int, float))]
-    if reps:
-        return median(reps), "median of %d rep(s)" % len(reps)
-    value = bench.get(canonical)
-    if isinstance(value, (int, float)):
-        return value, "single row"
-    return None, "missing"
-
-
-def memo_gate(current):
-    """0 if memo:on beats (or ties, within the pad) memo:off, else 3.
-
-    Both sides are medians of the interleaved :r1..:r3 rep rows —
-    single-run OLS estimates drift by more than the few-percent memo
-    effect on shared runners, so one noisy rep must not flip the gate.
-    """
-    bench = current.get("benchmarks", {})
-    on, on_how = memo_row(bench, MEMO_ON)
-    off, off_how = memo_row(bench, MEMO_OFF)
-    if on is None or off is None:
-        print("memo gate: rows missing (%s / %s) — skipped" % (MEMO_ON, MEMO_OFF))
-        return 0
-    verdict = "PASS" if on <= off * MEMO_PAD else "FAIL"
-    print(
-        "memo gate: on %.1f ns/run (%s) vs off %.1f ns/run (%s) (pad %.2fx) -> %s"
-        % (on, on_how, off, off_how, MEMO_PAD, verdict)
-    )
-    if verdict == "FAIL":
-        print("memo gate: abl:hom:memo:on regressed past abl:hom:memo:off")
-        return 3
-    return 0
 
 
 def scaling_gate(current):
@@ -212,8 +151,6 @@ def alloc_report(baseline, current):
 
 
 def main():
-    if len(sys.argv) == 3 and sys.argv[1] == "--memo-gate":
-        return memo_gate(load(sys.argv[2]))
     if len(sys.argv) == 3 and sys.argv[1] == "--route-gate":
         return route_gate(load(sys.argv[2]))
     if len(sys.argv) == 3 and sys.argv[1] == "--scaling-gate":
@@ -249,10 +186,7 @@ def main():
             regressions.append((name, ratio))
     alloc_report(baseline_doc, current_doc)
     print()
-    gate = memo_gate(current_doc)
     rgate = route_gate(current_doc)
-    if gate:
-        return gate
     if rgate:
         return rgate
     if regressions:

@@ -1,0 +1,304 @@
+(* Executable specifications the production code is diffed against.
+
+   Production runs one code path per concern: the flat indexed
+   most-constrained-first hom solver, semi-naive (delta-anchored)
+   trigger discovery and delta-scoped core folding.  The oracles those
+   paths are checked against live here, next to the tests that use
+   them:
+
+   - [Boxed]: the tree-walking reference solver.  It performs the same
+     search as [Homo.Hom] (same atom selection, same candidate buckets
+     in the same order) on boxed terms, so the two must return the same
+     witnesses in the same order.  [flat_selection] exposes the
+     solver's own bucket choice for a boxed pattern, to compare with
+     [Boxed.candidates];
+   - [discovery_agrees] / [discover_all_agrees]: delta discovery against
+     full discovery ([Trigger.discover] without [?delta]) on the same
+     instance;
+   - [round_checker]: the discovery check at every completed round of an
+     engine, read off the [J_round] journal events the WAL sink uses;
+   - [core_steps_agree] / [round_core_checker]: every core-chase step's
+     (or round's) delta-scoped retraction against the [~scope:Full] one,
+     up to isomorphism;
+   - [core_by_atom]: a per-atom fold core to compare [Homo.Core]'s
+     per-variable one with. *)
+
+open Syntax
+
+module Boxed = struct
+  module TS = Set.Make (Term)
+
+  (* the most selective index bucket for [pattern] under [sigma], read
+     through the instance's public accessors: the predicate bucket, or
+     the first strictly smaller position bucket of a bound argument *)
+  let candidates tgt pattern sigma =
+    let p = Atom.pred pattern in
+    let best = ref (Homo.Instance.atoms_with_pred tgt p) in
+    let best_n = ref (List.length !best) in
+    List.iteri
+      (fun i arg ->
+        let img =
+          match arg with
+          | Term.Const _ -> Some arg
+          | Term.Var _ -> Subst.find arg sigma
+        in
+        match img with
+        | None -> ()
+        | Some img ->
+            let b = Homo.Instance.atoms_with_pred_pos_term tgt p i img in
+            let n = List.length b in
+            if n < !best_n then begin
+              best := b;
+              best_n := n
+            end)
+      (Atom.args pattern);
+    !best
+
+  (* [sigma] extended to map [pattern] onto [target], with the images of
+     the variables it newly bound *)
+  let extend sigma pattern target =
+    if
+      (not (String.equal (Atom.pred pattern) (Atom.pred target)))
+      || Atom.arity pattern <> Atom.arity target
+    then None
+    else
+      let rec go sigma fresh ps ts =
+        match (ps, ts) with
+        | [], [] -> Some (sigma, fresh)
+        | p :: ps, t :: ts -> (
+            match p with
+            | Term.Const _ -> if Term.equal p t then go sigma fresh ps ts else None
+            | Term.Var _ -> (
+                match Subst.find p sigma with
+                | Some img -> if Term.equal img t then go sigma fresh ps ts else None
+                | None -> go (Subst.add p t sigma) (t :: fresh) ps ts))
+        | _ -> None
+      in
+      go sigma [] (Atom.args pattern) (Atom.args target)
+
+  (* [k] is called on every solution, in search order *)
+  let solve ?(seed = Subst.empty) ?(injective = false) ~k src tgt =
+    (* the unmatched source atoms live in the prefix [0, live), each
+       with its original rank for tie-breaking *)
+    let arr = Array.of_list (List.mapi (fun i a -> (i, a)) (Atomset.to_list src)) in
+    let init_used =
+      if not injective then TS.empty
+      else
+        List.fold_left
+          (fun used v ->
+            match Subst.find v seed with
+            | Some img -> TS.add img used
+            | None -> used)
+          (TS.of_list (Atomset.consts src))
+          (Atomset.vars src)
+    in
+    let rec go sigma used live =
+      if live = 0 then k sigma
+      else begin
+        (* most-constrained-first: smallest candidate bucket, ties to
+           the smallest original rank *)
+        let count i = List.length (candidates tgt (snd arr.(i)) sigma) in
+        let best = ref 0 and bc = ref (count 0) in
+        for i = 1 to live - 1 do
+          let c = count i in
+          if c < !bc || (c = !bc && fst arr.(i) < fst arr.(!best)) then begin
+            best := i;
+            bc := c
+          end
+        done;
+        let chosen = arr.(!best) in
+        arr.(!best) <- arr.(live - 1);
+        arr.(live - 1) <- chosen;
+        let next = snd chosen in
+        List.iter
+          (fun target ->
+            match extend sigma next target with
+            | None -> ()
+            | Some (sigma', fresh) ->
+                if not injective then go sigma' used (live - 1)
+                else
+                  (* fresh images must be unused and pairwise distinct *)
+                  let rec check used = function
+                    | [] -> Some used
+                    | img :: rest ->
+                        if TS.mem img used then None
+                        else check (TS.add img used) rest
+                  in
+                  Option.iter
+                    (fun used' -> go sigma' used' (live - 1))
+                    (check used fresh))
+          (candidates tgt next sigma)
+      end
+    in
+    go seed init_used (Array.length arr)
+
+  let all ?seed ?injective src tgt =
+    let acc = ref [] in
+    solve ?seed ?injective ~k:(fun s -> acc := s :: !acc) src tgt;
+    List.rev !acc
+
+  exception Found of Subst.t
+
+  let find ?seed ?injective src tgt =
+    match solve ?seed ?injective ~k:(fun s -> raise (Found s)) src tgt with
+    | () -> None
+    | exception Found s -> Some s
+end
+
+(* The solver's flat bucket selection for [pattern] under [sigma]: the
+   pattern's variables get slots, [sigma]'s images fill [bind]. *)
+let flat_selection idx pattern sigma =
+  let vars = Atom.vars pattern in
+  let rec slot i x = function
+    | [] -> assert false
+    | v :: rest -> if Term.equal v x then i else slot (i + 1) x rest
+  in
+  let fargs =
+    Array.of_list
+      (List.map
+         (fun t ->
+           match t with
+           | Term.Const _ -> Flat.code_of_term t
+           | Term.Var _ -> lnot (slot 0 t vars))
+         (Atom.args pattern))
+  in
+  let bind = Array.make (max 1 (List.length vars)) Flat.no_code in
+  List.iteri
+    (fun i x ->
+      Option.iter (fun t -> bind.(i) <- Flat.code_of_term t) (Subst.find x sigma))
+    vars;
+  let fi = Homo.Instance.findex idx ~pred:(Flat.Symtab.intern (Atom.pred pattern)) in
+  ( Homo.Instance.findex_count fi ~fargs ~bind,
+    List.map
+      (fun (e : Homo.Instance.fentry) -> e.boxed)
+      (Homo.Instance.findex_items fi ~fargs ~bind) )
+
+(* ------------------------------------------------------------------ *)
+(* Trigger discovery *)
+
+let same_triggers trs1 trs2 =
+  List.length trs1 = List.length trs2
+  && List.for_all (fun t1 -> List.exists (Chase.Trigger.equal t1) trs2) trs1
+
+(* At a round boundary — [prev] the previous discovery's instance,
+   [current] the next one's — delta discovery finds exactly the active
+   triggers full discovery finds. *)
+let discovery_agrees rules ~prev ~current =
+  let idx = Homo.Instance.of_atomset current in
+  let delta = Atomset.diff current prev in
+  same_triggers
+    (Chase.Trigger.discover ~delta rules idx)
+    (Chase.Trigger.discover rules idx)
+
+(* For any [prev ⊆ current]: delta enumeration is exactly the full
+   enumeration's triggers whose body image touches the delta. *)
+let discover_all_agrees rules ~prev ~current =
+  let idx = Homo.Instance.of_atomset current in
+  let delta = Atomset.diff current prev in
+  let touches tr =
+    not
+      (Atomset.is_empty
+         (Atomset.inter delta
+            (Subst.apply (Chase.Trigger.mapping tr)
+               (Rule.body (Chase.Trigger.rule tr)))))
+  in
+  same_triggers
+    (Chase.Trigger.discover_all ~delta rules idx)
+    (List.filter touches (Chase.Trigger.discover_all rules idx))
+
+type round_check = { mutable rounds : int; mutable disagreements : int }
+
+(* A journal checking discovery at every completed round: the engine's
+   next discovery runs on the state's last instance with the delta
+   against its pre-round snapshot ([snapshot_index]). *)
+let round_checker rules =
+  let c = { rounds = 0; disagreements = 0 } in
+  let journal = function
+    | Chase.Variants.J_round { state; snapshot_index } ->
+        let d = state.Chase.Variants.state_derivation in
+        let current = (Chase.Derivation.last d).Chase.Derivation.instance in
+        let prev = Chase.Derivation.instance_at d snapshot_index in
+        c.rounds <- c.rounds + 1;
+        if not (discovery_agrees rules ~prev ~current) then
+          c.disagreements <- c.disagreements + 1
+    | _ -> ()
+  in
+  (c, journal)
+
+(* ------------------------------------------------------------------ *)
+(* Core maintenance *)
+
+let isomorphic a b =
+  Atomset.cardinal a = Atomset.cardinal b && Homo.Morphism.isomorphic a b
+
+(* The cores [pre] retracts to with the fold search scoped by the delta
+   against [before], and with [~scope:Full].  The delta is the atoms and
+   the variables (the step's fresh nulls) new since [before]. *)
+let scoped_and_full ~before pre =
+  let old_vars = Atomset.vars before in
+  let fresh =
+    List.filter
+      (fun x -> not (List.exists (Term.equal x) old_vars))
+      (Atomset.vars pre)
+  in
+  let added = Atomset.to_list (Atomset.diff pre before) in
+  let core scope = Subst.apply (Homo.Core.retraction_to_core ~scope pre) pre in
+  (core (Homo.Core.Delta { fresh; added }), core Homo.Core.Full)
+
+let scoped_core_agrees ~before pre =
+  let scoped, full = scoped_and_full ~before pre in
+  isomorphic scoped full
+
+(* Every step of a core chase with per-application cadence and a
+   simplified start: its delta-scoped retraction agrees with the full
+   one, and so does the engine's [F_i]. *)
+let core_steps_agree d =
+  List.for_all
+    (fun (s : Chase.Derivation.step) ->
+      s.index = 0
+      ||
+      let scoped, full =
+        scoped_and_full
+          ~before:(Chase.Derivation.instance_at d (s.index - 1))
+          s.pre_instance
+      in
+      isomorphic scoped full && isomorphic s.instance full)
+    (Chase.Derivation.steps d)
+
+(* A second complete core algorithm: fold away one non-ground atom at a
+   time (an endomorphism into the atomset minus that atom) until none
+   can go.  Ground atoms are fixed by every endomorphism, and a proper
+   retraction omits some atom, so the result is a core. *)
+let core_by_atom a =
+  let rec go a =
+    let idx = Homo.Instance.of_atomset a in
+    let fold at =
+      if Atom.is_ground at then None
+      else Boxed.find a (Homo.Instance.remove_atoms idx [ at ])
+    in
+    match List.find_map fold (Atomset.to_list a) with
+    | None -> a
+    | Some h -> go (Subst.apply h a)
+  in
+  go a
+
+(* A journal checking the per-round cadence's closing retraction: scoped
+   by the round's whole delta against its pre-round instance. *)
+let round_core_checker () =
+  let c = { rounds = 0; disagreements = 0 } in
+  let journal = function
+    | Chase.Variants.J_round { state; snapshot_index } ->
+        let d = state.Chase.Variants.state_derivation in
+        let last = Chase.Derivation.last d in
+        if last.Chase.Derivation.index > snapshot_index then begin
+          c.rounds <- c.rounds + 1;
+          if
+            not
+              (scoped_core_agrees
+                 ~before:(Chase.Derivation.instance_at d snapshot_index)
+                 last.Chase.Derivation.pre_instance)
+          then c.disagreements <- c.disagreements + 1
+        end
+    | _ -> ()
+  in
+  (c, journal)

@@ -307,17 +307,6 @@ let test_validate_accepts_engine_output () =
       Chase.Variants.core ~budget:small_budget (kb_core_wins ());
     ]
 
-let test_index_ablation_same_results () =
-  let kb = kb_sym () in
-  Homo.Instance.use_indexes := false;
-  let r = Chase.Variants.restricted kb in
-  Homo.Instance.use_indexes := true;
-  Alcotest.(check bool) "scan-only mode agrees" true
-    (r.Chase.Variants.outcome = Chase.Variants.Fixpoint
-    && Atomset.cardinal
-         (Chase.Derivation.last r.Chase.Variants.derivation).Chase.Derivation.instance
-       = 2)
-
 (* ------------------------------------------------------------------ *)
 (* Lazy streams *)
 
@@ -613,7 +602,6 @@ let suites =
         tc "no debt after fixpoint" test_fairness_debt_empty_on_terminated;
         tc "debt on truncation" test_fairness_debt_nonempty_on_truncation;
         tc "validate engine output" test_validate_accepts_engine_output;
-        tc "index ablation agrees" test_index_ablation_same_results;
       ] );
     ( "chase.stream",
       [

@@ -43,8 +43,8 @@ let test_instance_candidates_use_constants () =
       (aset [ atom "p" [ a; b ]; atom "p" [ a; c ]; atom "p" [ b; c ] ])
   in
   (* pattern p(b, X): constant at pos 0 narrows to 1 candidate *)
-  let cands = Homo.Instance.candidates ins (atom "p" [ b; x ]) Subst.empty in
-  Alcotest.(check int) "selective bucket" 1 (List.length cands)
+  let n, _ = Reference.flat_selection ins (atom "p" [ b; x ]) Subst.empty in
+  Alcotest.(check int) "selective bucket" 1 n
 
 let test_instance_candidates_use_bindings () =
   let ins =
@@ -52,8 +52,8 @@ let test_instance_candidates_use_bindings () =
       (aset [ atom "p" [ a; b ]; atom "p" [ a; c ]; atom "p" [ b; c ] ])
   in
   let sigma = Subst.of_list [ (x, b) ] in
-  let cands = Homo.Instance.candidates ins (atom "p" [ x; y ]) sigma in
-  Alcotest.(check int) "bound var narrows" 1 (List.length cands)
+  let n, _ = Reference.flat_selection ins (atom "p" [ x; y ]) sigma in
+  Alcotest.(check int) "bound var narrows" 1 n
 
 (* ------------------------------------------------------------------ *)
 (* Homomorphism tests *)
@@ -153,24 +153,12 @@ let test_hom_injective_respects_constants () =
   Alcotest.(check bool) "x cannot reuse a" false
     (Homo.Hom.exists ~injective:true src tgt)
 
-let test_hom_naive_order_same_answers () =
-  let src = aset [ atom "p" [ x; y ]; atom "p" [ y; z ]; atom "q" [ z ] ] in
-  let tgt =
-    aset [ atom "p" [ a; b ]; atom "p" [ b; c ]; atom "q" [ c ]; atom "p" [ c; a ] ]
-  in
-  let n_smart = Homo.Hom.count src (Homo.Instance.of_atomset tgt) in
-  Homo.Hom.naive_order := true;
-  let n_naive = Homo.Hom.count src (Homo.Instance.of_atomset tgt) in
-  Homo.Hom.naive_order := false;
-  Alcotest.(check int) "same solution count" n_smart n_naive
-
 let test_hom_all_enumeration_order () =
   (* pins the solver's deterministic enumeration order.  The worklist's
      swap-removal must keep selecting the most-constrained live atom with
      ties broken by original rank, so on the "diamond" target the two
      homs of {p(x,y), q(y,z)} enumerate with y ↦ c strictly before
-     y ↦ b (the index bucket yields p(a,c) first) — under the smart
-     ordering and under the naive textual one alike. *)
+     y ↦ b (the index bucket yields p(a,c) first). *)
   let d = Term.const "d" in
   let src = aset [ atom "p" [ x; y ]; atom "q" [ y; z ] ] in
   let tgt =
@@ -184,11 +172,7 @@ let test_hom_all_enumeration_order () =
       (fun h -> Fmt.str "%a" Term.pp (Subst.apply_term h y))
       (Homo.Hom.all src tgt)
   in
-  Alcotest.(check (list string)) "smart order" [ "c"; "b" ] (y_images ());
-  Homo.Hom.naive_order := true;
-  let naive = y_images () in
-  Homo.Hom.naive_order := false;
-  Alcotest.(check (list string)) "naive order" [ "c"; "b" ] naive
+  Alcotest.(check (list string)) "smart order" [ "c"; "b" ] (y_images ())
 
 let test_extend_via_atom () =
   match Homo.Hom.extend_via_atom Subst.empty (atom "p" [ x; x ]) (atom "p" [ a; b ]) with
@@ -297,12 +281,9 @@ let test_core_strategies_agree () =
         atom "q" [ x ]; atom "q" [ z ];
       ]
   in
-  Homo.Core.strategy := Homo.Core.By_variable;
   let c1 = Homo.Core.of_atomset s in
-  Homo.Core.strategy := Homo.Core.By_atom;
-  let c2 = Homo.Core.of_atomset s in
-  Homo.Core.strategy := Homo.Core.By_variable;
-  Alcotest.(check bool) "cores isomorphic across strategies" true
+  let c2 = Reference.core_by_atom s in
+  Alcotest.(check bool) "per-variable and per-atom folds agree" true
     (Homo.Morphism.isomorphic c1 c2)
 
 let test_core_preserves_hom_equivalence () =
@@ -449,7 +430,6 @@ let suites =
         tc "all & count & limit" test_hom_all_count;
         tc "injective mode" test_hom_injective;
         tc "injective respects constants" test_hom_injective_respects_constants;
-        tc "naive order ablation agrees" test_hom_naive_order_same_answers;
         tc "enumeration order pinned" test_hom_all_enumeration_order;
         tc "extend_via_atom repeated var" test_extend_via_atom;
         tc "extend_via_atom pred mismatch" test_extend_via_atom_pred_mismatch;

@@ -4,11 +4,11 @@
    (a) an index grown by random add/simplify sequences equals a fresh
        [of_atomset] rebuild, bucket for bucket (cached cardinalities
        included);
-   (b) delta-driven discovery returns the same trigger set as the full
-       snapshot re-enumeration at every round of real chases
-       ([Trigger.Audit] mode raises on the first disagreement), and
-       whole runs under the two modes produce equivalent results;
-   (c) the [use_indexes] ablation does not change [Hom.all]. *)
+   (b) delta-driven discovery returns the same trigger set as full
+       discovery without a delta at every round of real chases: each
+       round's boundary is read off the engine's [J_round] journal
+       events (or, for engines without a journal, off their recorded
+       instances) and both discoveries run on it after the fact. *)
 
 open Syntax
 
@@ -84,10 +84,12 @@ let test_index_add_is_idempotent () =
   let idx = Homo.Instance.add_atoms Homo.Instance.empty [ a1; a1; a1 ] in
   Alcotest.(check int) "one atom" 1 (Homo.Instance.cardinal idx);
   Alcotest.(check int) "one candidate" 1
-    (Homo.Instance.candidate_count idx a1 Subst.empty);
+    (List.length (Reference.Boxed.candidates idx a1 Subst.empty));
   Alcotest.(check bool) "invariants" true (Homo.Instance.invariants_ok idx)
 
 let test_candidate_count_matches_candidates () =
+  (* the cached count is the selected bucket's length, and the bucket is
+     the one the reference solver selects, atom for atom *)
   let rand = lcg 1234 in
   let atoms = List.init 60 (fun _ -> random_atom rand) in
   let idx = Homo.Instance.add_atoms Homo.Instance.empty atoms in
@@ -96,10 +98,13 @@ let test_candidate_count_matches_candidates () =
     (fun pattern ->
       List.iter
         (fun sigma ->
-          Alcotest.(check int)
-            (Fmt.str "count=|candidates| for %a" Atom.pp pattern)
-            (List.length (Homo.Instance.candidates idx pattern sigma))
-            (Homo.Instance.candidate_count idx pattern sigma))
+          let count, items = Reference.flat_selection idx pattern sigma in
+          let what = Fmt.str " for %a" Atom.pp pattern in
+          Alcotest.(check int) ("count=|candidates|" ^ what) (List.length items)
+            count;
+          Alcotest.(check bool) ("reference selects the same bucket" ^ what) true
+            (List.equal Atom.equal items
+               (Reference.Boxed.candidates idx pattern sigma)))
         [ Subst.empty; Subst.singleton x (Term.const "c1") ])
     (List.map (fun _ -> random_atom rand) (List.init 20 Fun.id))
 
@@ -118,167 +123,204 @@ let test_apply_subst_merges_collisions () =
     (List.length (Homo.Instance.atoms_with_term idx' x))
 
 (* ------------------------------------------------------------------ *)
-(* (b) delta-driven discovery ≡ snapshot, audited at every round *)
-
-let with_discovery mode f =
-  let saved = !Chase.Trigger.discovery in
-  Chase.Trigger.discovery := mode;
-  Fun.protect ~finally:(fun () -> Chase.Trigger.discovery := saved) f
+(* (b) delta-driven discovery ≡ full discovery, checked at every round *)
 
 let budget steps = { Chase.Variants.max_steps = steps; max_atoms = 5_000 }
 
+(* Run an engine with a round-checking journal; returns the run and the
+   number of round boundaries checked. *)
+let checked name kb run =
+  let c, journal = Reference.round_checker (Kb.rules kb) in
+  let r = run ~journal kb in
+  Alcotest.(check int)
+    (name ^ ": delta ≡ full discovery at every round")
+    0 c.Reference.disagreements;
+  (r, c.Reference.rounds)
+
+let restricted steps ~journal kb =
+  Chase.Variants.restricted ~budget:(budget steps) ~journal kb
+
+let core ?cadence steps ~journal kb =
+  Chase.Variants.core ?cadence ~budget:(budget steps) ~journal kb
+
+let frugal steps ~journal kb =
+  Chase.Variants.frugal ~budget:(budget steps) ~journal kb
+
+let check_some_rounds name counts =
+  Alcotest.(check bool) (name ^ ": rounds were checked") true
+    (List.fold_left ( + ) 0 counts > 0)
+
 let test_audit_staircase () =
-  with_discovery Chase.Trigger.Audit (fun () ->
-      let kb = Zoo.Staircase.kb () in
-      ignore (Chase.Variants.restricted ~budget:(budget 25) kb);
-      ignore (Chase.Variants.core ~budget:(budget 20) kb);
-      ignore (Chase.Variants.frugal ~budget:(budget 20) kb);
-      ignore
-        (Chase.Variants.core ~cadence:Chase.Variants.Every_round
-           ~budget:(budget 15) kb))
+  let kb = Zoo.Staircase.kb () in
+  let n run name = snd (checked name kb run) in
+  check_some_rounds "staircase"
+    [
+      n (restricted 25) "restricted";
+      n (core 20) "core";
+      n (frugal 20) "frugal";
+      n (core ~cadence:Chase.Variants.Every_round 15) "core per round";
+    ]
 
 let test_audit_elevator () =
-  with_discovery Chase.Trigger.Audit (fun () ->
-      let kb = Zoo.Elevator.kb () in
-      ignore (Chase.Variants.restricted ~budget:(budget 25) kb);
-      ignore (Chase.Variants.core ~budget:(budget 20) kb))
+  let kb = Zoo.Elevator.kb () in
+  let n run name = snd (checked name kb run) in
+  check_some_rounds "elevator"
+    [ n (restricted 25) "restricted"; n (core 20) "core" ]
 
 let test_audit_randomkb () =
-  with_discovery Chase.Trigger.Audit (fun () ->
-      List.iteri
-        (fun i kb ->
-          ignore (Chase.Variants.restricted ~budget:(budget 40) kb);
-          if i < 3 then ignore (Chase.Variants.core ~budget:(budget 25) kb))
-        (Zoo.Randomkb.generate_many ~seed:42 ~count:6 Zoo.Randomkb.default))
+  List.iteri
+    (fun i kb ->
+      let name = Printf.sprintf "randomkb%d" i in
+      ignore (checked (name ^ " restricted") kb (restricted 40));
+      if i < 3 then ignore (checked (name ^ " core") kb (core 25)))
+    (Zoo.Randomkb.generate_many ~seed:42 ~count:6 Zoo.Randomkb.default)
+
+(* The stream has no journal: a round starts while the consumer forces
+   the next prefix, and its discovery runs on the last prefix the
+   consumer already holds, so the boundaries are the prefixes after
+   which a [Round_start] event is seen.  The stream ending is one more
+   (empty) discovery. *)
+let stream_rounds_agree kb n =
+  let rules = Kb.rules kb in
+  let started = ref false in
+  let sink =
+    Obs.Trace.Custom (function Obs.Trace.Round_start _ -> started := true | _ -> ())
+  in
+  let disagreements = ref 0 and rounds = ref 0 in
+  let boundary prev current =
+    incr rounds;
+    match prev with
+    | Some prev when not (Reference.discovery_agrees rules ~prev ~current) ->
+        incr disagreements
+    | _ -> ()
+  in
+  Obs.Trace.with_sink sink (fun () ->
+      let rec go seq prev last k =
+        if k > 0 then begin
+          started := false;
+          match seq () with
+          | Seq.Nil -> Option.iter (boundary prev) last
+          | Seq.Cons (d, rest) ->
+              let prev =
+                match last with
+                | Some l when !started ->
+                    boundary prev l;
+                    Some l
+                | _ -> prev
+              in
+              go rest prev
+                (Some (Chase.Derivation.last d).Chase.Derivation.instance)
+                (k - 1)
+        end
+      in
+      go (Chase.Variants.stream ~variant:`Core kb) None None n);
+  Alcotest.(check int) "stream: delta ≡ full discovery at every round" 0
+    !disagreements;
+  Alcotest.(check bool) "stream: rounds were checked" true (!rounds > 1)
+
+(* The baselines enumerate without the satisfaction filter, so the delta
+   law holds between any two of their instances: check consecutive
+   ones. *)
+let baseline_agrees kb (t : Chase.Variants.Baseline.trace) =
+  let rules = Kb.rules kb in
+  let rec pairs = function
+    | prev :: (current :: _ as rest) ->
+        Reference.discover_all_agrees rules ~prev ~current && pairs rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "baseline: delta enumeration ≡ full, touching the delta"
+    true (pairs t.instances)
 
 let test_audit_stream_and_baselines () =
-  with_discovery Chase.Trigger.Audit (fun () ->
-      let kb = Zoo.Staircase.kb () in
-      ignore
-        (List.of_seq
-           (Seq.take 15 (Chase.Variants.stream ~variant:`Core kb)));
-      ignore (Chase.Variants.Baseline.oblivious ~budget:(budget 30) kb);
-      ignore (Chase.Variants.Baseline.skolem ~budget:(budget 30) kb);
-      List.iter
-        (fun kb ->
-          ignore (Chase.Variants.Baseline.oblivious ~budget:(budget 60) kb);
-          ignore (Chase.Variants.Baseline.skolem ~budget:(budget 60) kb))
-        (Zoo.Randomkb.generate_many ~seed:7 ~count:3 Zoo.Randomkb.datalog))
-
-let test_audit_egds () =
-  with_discovery Chase.Trigger.Audit (fun () ->
-      (* FD over emp + a TGD feeding it, so EGD unifications interleave
-         with delta-driven TGD rounds *)
-      let x = Term.fresh_var ~hint:"X" ()
-      and y = Term.fresh_var ~hint:"Y" ()
-      and z = Term.fresh_var ~hint:"Z" () in
-      let fd =
-        Egd.make ~name:"fd"
-          ~body:[ atom "emp" [ x; y ]; atom "emp" [ x; z ] ]
-          y z
-      in
-      let x2 = Term.fresh_var ~hint:"X" () and w = Term.fresh_var ~hint:"W" () in
-      let rule =
-        Rule.make ~name:"hire"
-          ~body:[ atom "dept" [ x2 ] ]
-          ~head:[ atom "emp" [ x2; w ]; atom "dept" [ w ] ]
-          ()
-      in
-      let kb =
-        Kb.with_egds [ fd ]
-          (Kb.of_lists
-             ~facts:
-               [
-                 atom "dept" [ Term.const "d0" ];
-                 atom "emp" [ Term.const "d0"; Term.const "e0" ];
-               ]
-             ~rules:[ rule ])
-      in
-      ignore (Chase.Variants.Egds.run ~budget:(budget 30) kb);
-      ignore (Chase.Variants.Egds.run ~variant:`Core ~budget:(budget 30) kb))
-
-(* whole-run comparison: Delta and Snapshot modes must reach equivalent
-   results (fresh nulls differ between runs, so equivalence is
-   termination + size + homomorphic equivalence) *)
-let equivalent_runs run_a run_b =
-  let open Chase.Variants in
-  run_a.outcome = run_b.outcome
-  && run_a.rounds = run_b.rounds
-  && Chase.Derivation.length run_a.derivation
-     = Chase.Derivation.length run_b.derivation
-  &&
-  let fin r = (Chase.Derivation.last r.derivation).Chase.Derivation.instance in
-  Atomset.cardinal (fin run_a) = Atomset.cardinal (fin run_b)
-  && Homo.Morphism.hom_equivalent (fin run_a) (fin run_b)
-
-let test_delta_vs_snapshot_runs () =
-  let compare_on kb name steps =
-    let delta_run =
-      with_discovery Chase.Trigger.Delta (fun () ->
-          Chase.Variants.core ~budget:(budget steps) kb)
-    in
-    let snap_run =
-      with_discovery Chase.Trigger.Snapshot (fun () ->
-          Chase.Variants.core ~budget:(budget steps) kb)
-    in
-    Alcotest.(check bool)
-      (name ^ ": delta and snapshot runs equivalent")
-      true
-      (equivalent_runs delta_run snap_run)
-  in
-  compare_on (Zoo.Staircase.kb ()) "staircase" 20;
-  compare_on (Zoo.Elevator.kb ()) "elevator" 15;
-  List.iteri
-    (fun i kb -> compare_on kb (Printf.sprintf "randomkb%d" i) 25)
-    (Zoo.Randomkb.generate_many ~seed:11 ~count:3 Zoo.Randomkb.default)
-
-let test_delta_vs_snapshot_restricted_termination () =
-  (* a terminating datalog KB: both modes must reach the same fixpoint *)
+  let kb = Zoo.Staircase.kb () in
+  stream_rounds_agree kb 15;
+  baseline_agrees kb (Chase.Variants.Baseline.oblivious ~budget:(budget 30) kb);
+  baseline_agrees kb (Chase.Variants.Baseline.skolem ~budget:(budget 30) kb);
   List.iter
     (fun kb ->
-      let fin mode =
-        with_discovery mode (fun () ->
-            let r = Chase.Variants.restricted ~budget:(budget 500) kb in
-            Alcotest.(check bool) "terminated" true
-              (r.Chase.Variants.outcome = Chase.Variants.Fixpoint);
-            (Chase.Derivation.last r.Chase.Variants.derivation)
-              .Chase.Derivation.instance)
+      baseline_agrees kb
+        (Chase.Variants.Baseline.oblivious ~budget:(budget 60) kb);
+      baseline_agrees kb (Chase.Variants.Baseline.skolem ~budget:(budget 60) kb))
+    (Zoo.Randomkb.generate_many ~seed:7 ~count:3 Zoo.Randomkb.datalog)
+
+(* FD over emp + a TGD feeding it, so EGD unifications interleave with
+   delta-driven TGD rounds *)
+let egd_kb () =
+  let x = Term.fresh_var ~hint:"X" ()
+  and y = Term.fresh_var ~hint:"Y" ()
+  and z = Term.fresh_var ~hint:"Z" () in
+  let fd =
+    Egd.make ~name:"fd" ~body:[ atom "emp" [ x; y ]; atom "emp" [ x; z ] ] y z
+  in
+  let x2 = Term.fresh_var ~hint:"X" () and w = Term.fresh_var ~hint:"W" () in
+  let rule =
+    Rule.make ~name:"hire"
+      ~body:[ atom "dept" [ x2 ] ]
+      ~head:[ atom "emp" [ x2; w ]; atom "dept" [ w ] ]
+      ()
+  in
+  Kb.with_egds [ fd ]
+    (Kb.of_lists
+       ~facts:
+         [
+           atom "dept" [ Term.const "d0" ];
+           atom "emp" [ Term.const "d0"; Term.const "e0" ];
+         ]
+       ~rules:[ rule ])
+
+(* The EGD engine records its instance after every TGD round and EGD
+   saturation; consecutive records are one round's discovery boundary
+   and the next's.  A stopped run's last record may be mid-phase. *)
+let test_audit_egds () =
+  let kb = egd_kb () in
+  List.iter
+    (fun variant ->
+      let r = Chase.Variants.Egds.run ~variant ~budget:(budget 30) kb in
+      let boundaries =
+        match r.Chase.Variants.Egds.outcome with
+        | Chase.Variants.Egds.Terminated -> r.trace
+        | _ -> List.filteri (fun i _ -> i < List.length r.trace - 1) r.trace
       in
-      let f_delta = fin Chase.Trigger.Delta in
-      let f_snap = fin Chase.Trigger.Snapshot in
-      (* datalog: no fresh nulls, fixpoints are literally equal *)
-      Alcotest.(check bool) "same fixpoint" true (Atomset.equal f_delta f_snap))
+      let rec pairs n = function
+        | prev :: (current :: _ as rest) ->
+            Alcotest.(check bool) "egds: delta ≡ full discovery" true
+              (Reference.discovery_agrees (Kb.rules kb) ~prev ~current);
+            pairs (n + 1) rest
+        | _ -> n
+      in
+      Alcotest.(check bool) "egds: rounds were checked" true
+        (pairs 0 boundaries > 0))
+    [ `Restricted; `Core ]
+
+(* whole runs: every round of the core chase on the zoo and random KBs *)
+let test_delta_vs_snapshot_runs () =
+  let counts =
+    [
+      snd (checked "staircase" (Zoo.Staircase.kb ()) (core 20));
+      snd (checked "elevator" (Zoo.Elevator.kb ()) (core 15));
+    ]
+    @ List.mapi
+        (fun i kb -> snd (checked (Printf.sprintf "randomkb%d" i) kb (core 25)))
+        (Zoo.Randomkb.generate_many ~seed:11 ~count:3 Zoo.Randomkb.default)
+  in
+  check_some_rounds "core runs" counts
+
+let test_delta_vs_snapshot_restricted_termination () =
+  (* terminating datalog KBs: every round checked, and full discovery on
+     the fixpoint finds nothing either *)
+  List.iter
+    (fun kb ->
+      let r, _ = checked "datalog" kb (restricted 500) in
+      Alcotest.(check bool) "terminated" true
+        (r.Chase.Variants.outcome = Chase.Variants.Fixpoint);
+      let fin =
+        (Chase.Derivation.last r.Chase.Variants.derivation)
+          .Chase.Derivation.instance
+      in
+      Alcotest.(check int) "no active trigger at the fixpoint" 0
+        (List.length
+           (Chase.Trigger.discover (Kb.rules kb) (Homo.Instance.of_atomset fin))))
     (Zoo.Randomkb.generate_many ~seed:5 ~count:4 Zoo.Randomkb.datalog)
-
-(* ------------------------------------------------------------------ *)
-(* (c) use_indexes ablation does not change Hom.all *)
-
-let test_use_indexes_ablation () =
-  let rand = lcg 4242 in
-  for _case = 1 to 15 do
-    let tgt_atoms = List.init 30 (fun _ -> random_atom rand) in
-    let src =
-      Atomset.of_list (List.init 3 (fun _ -> random_atom rand))
-    in
-    let idx =
-      Homo.Instance.add_atoms Homo.Instance.empty tgt_atoms
-    in
-    let canon hs =
-      List.sort_uniq compare
-        (List.map (fun h -> Fmt.str "%a" Subst.pp_debug h) hs)
-    in
-    let on =
-      (Homo.Instance.use_indexes := true;
-       Homo.Hom.all src idx)
-    in
-    let off =
-      (Homo.Instance.use_indexes := false;
-       Fun.protect
-         ~finally:(fun () -> Homo.Instance.use_indexes := true)
-         (fun () -> Homo.Hom.all src idx))
-    in
-    Alcotest.(check (list string)) "same homomorphisms" (canon on) (canon off)
-  done
 
 let suites =
   [
@@ -305,10 +347,5 @@ let suites =
           test_delta_vs_snapshot_runs;
         Alcotest.test_case "delta ≡ snapshot fixpoints" `Quick
           test_delta_vs_snapshot_restricted_termination;
-      ] );
-    ( "incremental.ablation",
-      [
-        Alcotest.test_case "use_indexes on/off agree" `Quick
-          test_use_indexes_ablation;
       ] );
   ]

@@ -171,10 +171,10 @@ let engine_name = function
   | Skolem -> "skolem"
 
 (* Counters whose totals are pinned by the determinism discipline.  The
-   hom.* counters are deliberately absent: memo hit/miss splits and
-   backtrack counts depend on which domain's failure cache a check lands
-   in, so only their per-run *effects* (the derivation itself) are
-   schedule-independent. *)
+   hom.* counters are deliberately absent: a parallel first-success
+   search runs a whole wave of candidates, so solve and backtrack counts
+   depend on the pool width; only their per-run *effects* (the
+   derivation itself) are schedule-independent. *)
 let sched_independent =
   [
     "chase.rounds";
@@ -220,7 +220,6 @@ let fp_equal a b =
 let run_fingerprint engine ~jobs mk_kb steps =
   Par.with_jobs jobs (fun () ->
       Term.reset_counter_for_tests ();
-      Homo.Hom.memo_clear ();
       let kb = mk_kb () in
       with_metrics (fun () ->
           let fp =
@@ -399,7 +398,6 @@ let test_batch_kb_differential () =
     List.map
       (fun job ->
         Term.reset_counter_for_tests ();
-        Homo.Hom.memo_clear ();
         job ())
       (batch_chase_jobs ())
   in

@@ -12,15 +12,16 @@
      - the restricted chase on datalog KBs is invariant under renaming
        the rules apart (unique least fixpoint);
      - delta-scoped core maintenance agrees with the exhaustive fold
-       search: the core chase run in Audit scoping (which raises on any
-       non-isomorphic pair of cores) never raises on random KBs;
+       search: every step of the core chase on random KBs, recomputed
+       after the run with [~scope:Full], lands on an isomorphic core;
      - trace events survive the JSONL round trip (Obs.Trace.of_json_line
        ∘ to_json = Some);
      - flat interned codes (DESIGN.md §12): decode ∘ encode = id up to
        Atom.equal, flat equal/compare/hash agree with the boxed ones,
        flat substitution application agrees with Subst.apply_atom, and
-       the flat solver — and through it every chase engine — is
-       observationally identical to the boxed reference;
+       the solver returns the boxed reference solver's witnesses
+       (test/reference.ml), on random inputs and on the hom questions
+       every chase engine asks of the instances it builds;
      - the analyzer (DESIGN.md §13) respects the class-implication
        lattice on random KBs, never certifies termination the
        restricted chase does not deliver, and rejects every near-miss
@@ -230,10 +231,10 @@ let chase_renaming_invariant seed =
 
 (* ------------------------------------------------------------------ *)
 (* Law 5: delta-scoped core maintenance never diverges from the full
-   search.  Audit scoping re-folds exhaustively alongside every scoped
-   fold and raises [Failure] when the two cores are not isomorphic, so
-   "the audited core chase completes without raising" is exactly the
-   scoped ≡ full law (DESIGN.md §9). *)
+   search.  After the run, every step's pre-instance is retracted again,
+   once scoped by that step's delta and once with [~scope:Full]; the two
+   cores, and the engine's own [F_i], must be isomorphic — the scoped ≡
+   full law (DESIGN.md §9). *)
 
 type scoped_case = { cseed : int; csteps : int }
 
@@ -252,13 +253,7 @@ let scoped_case : scoped_case arbitrary =
 let scoped_core_agrees c =
   let kb = Zoo.Randomkb.generate ~seed:c.cseed Zoo.Randomkb.default in
   let budget = { Chase.Variants.max_steps = c.csteps; max_atoms = 2_000 } in
-  let saved = !Homo.Core.scoping in
-  Homo.Core.scoping := Homo.Core.Audit;
-  Fun.protect
-    ~finally:(fun () -> Homo.Core.scoping := saved)
-    (fun () ->
-      ignore (Chase.Variants.core ~budget kb);
-      true)
+  Reference.core_steps_agree (Chase.Variants.core ~budget kb).derivation
 
 (* ------------------------------------------------------------------ *)
 (* Law 6: trace events survive the JSONL round trip *)
@@ -486,12 +481,9 @@ let parallel_tw_agrees c =
     let par = Par.with_jobs 4 (fun () -> Treewidth.exact atoms) in
     seq = par
 
-(* Law 8: the audited parallel core chase never diverges and never
-   raises — law 5 extended to jobs > 1.  Audit scoping re-folds
-   exhaustively alongside every scoped fold (both now fanning their
-   seeded searches out over the pool) and raises on any non-isomorphic
-   pair of cores, so completion is the scoped ≡ full law under a live
-   pool. *)
+(* Law 8: the parallel core chase never diverges — law 5 extended to
+   jobs > 1: the chase and both re-folds fan their seeded searches out
+   over a live pool. *)
 let scoped_core_agrees_parallel c =
   Par.with_jobs 4 (fun () -> scoped_core_agrees c)
 
@@ -571,10 +563,10 @@ let flat_subst_agrees c =
   && prefix_agrees
 
 (* ------------------------------------------------------------------ *)
-(* Law 11: the flat solver is observationally the boxed solver.  Both
-   representations perform the same search (same selection, same
-   candidate order), so [Hom.all] must return the same witnesses in the
-   same order — injective mode included — on every random src/tgt
+(* Law 11: the solver is observationally the boxed reference solver
+   (test/reference.ml).  Both perform the same search (same selection,
+   same candidate order), so [Hom.all] must return the same witnesses in
+   the same order — injective mode included — on every random src/tgt
    pair. *)
 
 type hom_case = { h_src : Atom.t list; h_tgt : Atom.t list; h_inj : bool }
@@ -599,34 +591,50 @@ let hom_case : hom_case arbitrary =
           (Atomset.of_list c.h_tgt));
   }
 
-let with_repr flat f =
-  let saved = !Homo.Hom.flat_enabled in
-  Homo.Hom.flat_enabled := flat;
-  Fun.protect ~finally:(fun () -> Homo.Hom.flat_enabled := saved) f
+let same_witnesses hs1 hs2 =
+  List.length hs1 = List.length hs2 && List.for_all2 Subst.equal hs1 hs2
 
 let flat_solver_agrees c =
   let src = Atomset.of_list c.h_src in
   let tgt = Homo.Instance.of_atomset (Atomset.of_list c.h_tgt) in
-  let run () = Homo.Hom.all ~injective:c.h_inj src tgt in
-  let flat = with_repr true run and boxed = with_repr false run in
-  List.length flat = List.length boxed && List.for_all2 Subst.equal flat boxed
+  same_witnesses
+    (Homo.Hom.all ~injective:c.h_inj src tgt)
+    (Reference.Boxed.all ~injective:c.h_inj src tgt)
 
 (* ------------------------------------------------------------------ *)
-(* Law 12: every chase engine lands on the same final instance whether
-   its hom searches run on the flat or the boxed representation —
-   the end-to-end differential for the representation switch.  Fresh
-   nulls draw ranks from the process-wide freshness counter, so two
-   runs agree up to isomorphism, not syntactic equality. *)
+(* Law 12: on the instance every chase engine ends with, the three hom
+   questions the engines ask — trigger enumeration (body homs),
+   satisfaction (a body hom extended to the head) and core folding (an
+   endomorphism avoiding one variable's atoms) — get the reference
+   solver's witnesses, witness for witness. *)
+
+let engine_questions_agree kb final =
+  let idx = Homo.Instance.of_atomset final in
+  let same_find ?seed src tgt =
+    Option.equal Subst.equal
+      (Homo.Hom.find ?seed src tgt)
+      (Reference.Boxed.find ?seed src tgt)
+  in
+  List.for_all
+    (fun r ->
+      let homs = Homo.Hom.all (Rule.body r) idx in
+      same_witnesses homs (Reference.Boxed.all (Rule.body r) idx)
+      && List.for_all
+           (fun h ->
+             same_find ~seed:h (Atomset.union (Rule.body r) (Rule.head r)) idx)
+           homs)
+    (Kb.rules kb)
+  && List.for_all
+       (fun x ->
+         same_find final
+           (Homo.Instance.remove_atoms idx (Homo.Instance.atoms_with_term idx x)))
+       (Atomset.vars final)
 
 let engine_repr_invariant seed =
   let kb = Zoo.Randomkb.generate ~seed Zoo.Randomkb.default in
   let budget = { Chase.Variants.max_steps = 12; max_atoms = 2_000 } in
   List.for_all
-    (fun engine ->
-      let run () = Chase.run ~budget engine kb in
-      let rf = with_repr true run and rb = with_repr false run in
-      rf.Chase.terminated = rb.Chase.terminated
-      && Homo.Morphism.isomorphic rf.Chase.final rb.Chase.final)
+    (fun engine -> engine_questions_agree kb (Chase.run ~budget engine kb).Chase.final)
     Chase.[ Oblivious; Skolem; Restricted; Frugal; Core ]
 
 (* ------------------------------------------------------------------ *)

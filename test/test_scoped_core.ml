@@ -6,21 +6,15 @@
        ground delta atom, no fresh null involved) is caught;
    (b) generation stamps — content changes bump the epoch, no-ops do
        not, birth stamps track exactly the live atoms;
-   (c) hom failure memo — failures are cached per epoch, hits are
-       counted, generation advance invalidates;
-   (d) differential runs — Scoped and Exhaustive scoping produce
-       equivalent chases on staircase/elevator prefixes and random KBs,
-       and Audit mode (which raises on any core disagreement) passes
-       over every core-cadence engine. *)
+   (c) differential runs — after core chases on staircase/elevator
+       prefixes and random KBs, every step's (or, per-round cadence,
+       every round's) delta-scoped retraction is recomputed next to the
+       [~scope:Full] one and the two cores must be isomorphic, over every
+       core-cadence engine. *)
 
 open Syntax
 
 let atom p args = Atom.make p args
-
-let with_scoping mode f =
-  let saved = !Homo.Core.scoping in
-  Homo.Core.scoping := mode;
-  Fun.protect ~finally:(fun () -> Homo.Core.scoping := saved) f
 
 let budget steps = { Chase.Variants.max_steps = steps; max_atoms = 5_000 }
 
@@ -42,10 +36,9 @@ let test_scoped_catches_pair_fold () =
   let i = Atomset.add d a in
   let idx = Homo.Instance.of_atomset i in
   let r =
-    with_scoping Homo.Core.Scoped (fun () ->
-        Homo.Core.retraction_to_core_indexed
-          ~scope:(Homo.Core.Delta { fresh = []; added = [ d ] })
-          idx)
+    Homo.Core.retraction_to_core_indexed
+      ~scope:(Homo.Core.Delta { fresh = []; added = [ d ] })
+      idx
   in
   let core = Subst.apply r i in
   Alcotest.(check int) "core has 2 atoms" 2 (Atomset.cardinal core);
@@ -60,10 +53,9 @@ let test_scoped_catches_fresh_fold () =
   let d = atom "u" [ z ] in
   let idx = Homo.Instance.of_atomset (Atomset.add d a) in
   let r =
-    with_scoping Homo.Core.Scoped (fun () ->
-        Homo.Core.retraction_to_core_indexed
-          ~scope:(Homo.Core.Delta { fresh = [ z ]; added = [ d ] })
-          idx)
+    Homo.Core.retraction_to_core_indexed
+      ~scope:(Homo.Core.Delta { fresh = [ z ]; added = [ d ] })
+      idx
   in
   Alcotest.(check bool) "z folded to k0" true
     (match Subst.find z r with Some t -> Term.equal t k0 | None -> false)
@@ -78,18 +70,16 @@ let test_scoped_certifies_real_core () =
   let d = e 2 3 in
   let idx = Homo.Instance.of_atomset (Atomset.add d a) in
   let r =
-    with_scoping Homo.Core.Scoped (fun () ->
-        Homo.Core.retraction_to_core_indexed
-          ~scope:(Homo.Core.Delta { fresh = []; added = [ d ] })
-          idx)
+    Homo.Core.retraction_to_core_indexed
+      ~scope:(Homo.Core.Delta { fresh = []; added = [ d ] })
+      idx
   in
   Alcotest.(check bool) "identity retraction" true (Subst.is_empty r)
 
 let test_scoped_agrees_with_full_on_random_deltas () =
   (* grow random instances one atom at a time, keeping the invariant "the
      instance is a core" by retracting after each addition; the scoped
-     retraction must always land on a core isomorphic to the full one
-     (Audit mode checks exactly that and raises on divergence) *)
+     retraction must always land on a core isomorphic to the full one *)
   let rand =
     let state = ref 20240805 in
     fun bound ->
@@ -105,22 +95,29 @@ let test_scoped_agrees_with_full_on_random_deltas () =
     in
     atom p (List.init ar (fun _ -> term ()))
   in
-  with_scoping Homo.Core.Audit (fun () ->
-      for _case = 1 to 20 do
-        let idx = ref (Homo.Instance.of_atomset Atomset.empty) in
-        for _step = 1 to 12 do
-          let a = random_atom () in
-          if not (Homo.Instance.mem !idx a) then begin
-            idx := Homo.Instance.add_atoms !idx [ a ];
-            let r =
-              Homo.Core.retraction_to_core_indexed
-                ~scope:(Homo.Core.Delta { fresh = Atom.vars a; added = [ a ] })
-                !idx
-            in
-            idx := Homo.Instance.apply_subst r !idx
-          end
-        done
-      done)
+  for _case = 1 to 20 do
+    let idx = ref (Homo.Instance.of_atomset Atomset.empty) in
+    for _step = 1 to 12 do
+      let a = random_atom () in
+      if not (Homo.Instance.mem !idx a) then begin
+        idx := Homo.Instance.add_atoms !idx [ a ];
+        let pre = Homo.Instance.atomset !idx in
+        let r =
+          Homo.Core.retraction_to_core_indexed
+            ~scope:(Homo.Core.Delta { fresh = Atom.vars a; added = [ a ] })
+            !idx
+        in
+        let full = Homo.Core.retraction_to_core_indexed ~scope:Homo.Core.Full !idx in
+        if
+          not
+            (Reference.isomorphic (Subst.apply r pre) (Subst.apply full pre))
+        then
+          Alcotest.failf "scoped core of %a disagrees with the full one"
+            Atomset.pp_verbose pre;
+        idx := Homo.Instance.apply_subst r !idx
+      end
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* (b) generation stamps *)
@@ -173,175 +170,95 @@ let test_apply_subst_swaps_content () =
   Alcotest.(check bool) "invariants" true (Homo.Instance.invariants_ok idx)
 
 (* ------------------------------------------------------------------ *)
-(* (c) hom failure memo *)
+(* (c) differential runs: scoped ≡ full at every step *)
 
-let counter_value name =
-  match List.assoc_opt name (Obs.Metrics.counters ()) with
-  | Some v -> v
-  | None -> 0
-
-let with_metrics f =
-  Obs.Metrics.reset ();
-  Obs.Metrics.enabled := true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.enabled := false) f
-
-let test_memo_caches_failures () =
-  Homo.Hom.memo_clear ();
-  let src = Atomset.of_list [ atom "p" [ Term.const "a" ] ] in
-  let tgt = Homo.Instance.of_atomset (Atomset.of_list [ atom "q" [ Term.const "a" ] ]) in
-  let epoch = Homo.Instance.generation tgt in
-  with_metrics (fun () ->
-      let r1 = Homo.Hom.find ~memo:([| 99; 1 |], epoch) src tgt in
-      Alcotest.(check bool) "first check fails" true (r1 = None);
-      Alcotest.(check int) "one miss" 1 (counter_value "hom.memo_misses");
-      Alcotest.(check int) "no hit yet" 0 (counter_value "hom.memo_hits");
-      let r2 = Homo.Hom.find ~memo:([| 99; 1 |], epoch) src tgt in
-      Alcotest.(check bool) "second check fails" true (r2 = None);
-      Alcotest.(check int) "second check hits" 1 (counter_value "hom.memo_hits");
-      (* growing the target bumps its generation: stale entry must miss *)
-      let tgt' = Homo.Instance.add_atoms tgt [ atom "p" [ Term.const "a" ] ] in
-      let epoch' = Homo.Instance.generation tgt' in
-      Alcotest.(check bool) "epoch advanced" true (epoch' > epoch);
-      let r3 = Homo.Hom.find ~memo:([| 99; 1 |], epoch') src tgt' in
-      Alcotest.(check bool) "now finds a hom" true (r3 <> None);
-      Alcotest.(check int) "stale entry missed" 2
-        (counter_value "hom.memo_misses"))
-
-let test_memo_disabled_bypasses () =
-  Homo.Hom.memo_clear ();
-  let src = Atomset.of_list [ atom "p" [ Term.const "a" ] ] in
-  let tgt = Homo.Instance.of_atomset (Atomset.of_list [ atom "q" [ Term.const "a" ] ]) in
-  let epoch = Homo.Instance.generation tgt in
-  Homo.Hom.memo_enabled := false;
-  Fun.protect
-    ~finally:(fun () -> Homo.Hom.memo_enabled := true)
-    (fun () ->
-      with_metrics (fun () ->
-          ignore (Homo.Hom.find ~memo:([| 99; 2 |], epoch) src tgt);
-          ignore (Homo.Hom.find ~memo:([| 99; 2 |], epoch) src tgt);
-          Alcotest.(check int) "no hits when disabled" 0
-            (counter_value "hom.memo_hits");
-          Alcotest.(check int) "no misses counted either" 0
-            (counter_value "hom.memo_misses")))
-
-let test_memo_successes_cached () =
-  Homo.Hom.memo_clear ();
-  let src = Atomset.of_list [ atom "p" [ Term.const "a" ] ] in
-  let tgt = Homo.Instance.of_atomset (Atomset.of_list [ atom "p" [ Term.const "a" ] ]) in
-  let epoch = Homo.Instance.generation tgt in
-  with_metrics (fun () ->
-      let r1 = Homo.Hom.find ~memo:([| 99; 3 |], epoch) src tgt in
-      Alcotest.(check bool) "finds a hom" true (r1 <> None);
-      let r2 = Homo.Hom.find ~memo:([| 99; 3 |], epoch) src tgt in
-      Alcotest.(check bool) "replays the cached witness" true
-        (match (r1, r2) with
-        | Some s1, Some s2 -> Subst.equal s1 s2
-        | _ -> false);
-      Alcotest.(check int) "same-epoch success hits" 1
-        (counter_value "hom.memo_hits");
-      (* witness-returning calls never reuse a stale-epoch success: a new
-         epoch means a fresh search (and a second miss) *)
-      let tgt' = Homo.Instance.add_atoms tgt [ atom "q" [ Term.const "b" ] ] in
-      let epoch' = Homo.Instance.generation tgt' in
-      let r3 = Homo.Hom.find ~memo:([| 99; 3 |], epoch') src tgt' in
-      Alcotest.(check bool) "searches again at the new epoch" true (r3 <> None);
-      Alcotest.(check int) "find misses across epochs" 2
-        (counter_value "hom.memo_misses");
-      (* [exists] may revalidate the stale witness instead: σ(src) still
-         lands inside the grown target, so no search runs *)
-      let tgt'' = Homo.Instance.add_atoms tgt' [ atom "q" [ Term.const "c" ] ] in
-      let epoch'' = Homo.Instance.generation tgt'' in
-      Alcotest.(check bool) "exists via the stale witness" true
-        (Homo.Hom.exists ~memo:([| 99; 3 |], epoch'') src tgt'');
-      Alcotest.(check int) "stale-witness reuse is a hit" 2
-        (counter_value "hom.memo_hits");
-      Alcotest.(check int) "and not a miss" 2
-        (counter_value "hom.memo_misses"))
-
-(* ------------------------------------------------------------------ *)
-(* (d) differential runs: Scoped ≡ Exhaustive, Audit everywhere *)
-
-let equivalent_runs run_a run_b =
-  let open Chase.Variants in
-  run_a.outcome = run_b.outcome
-  && run_a.rounds = run_b.rounds
-  && Chase.Derivation.length run_a.derivation
-     = Chase.Derivation.length run_b.derivation
-  &&
-  let fin r = (Chase.Derivation.last r.derivation).Chase.Derivation.instance in
-  Atomset.cardinal (fin run_a) = Atomset.cardinal (fin run_b)
-  && Homo.Morphism.hom_equivalent (fin run_a) (fin run_b)
+let check_steps name (r : Chase.Variants.run) =
+  Alcotest.(check bool)
+    (name ^ ": every step's scoped core ≅ full core")
+    true
+    (Reference.core_steps_agree r.derivation)
 
 let test_scoped_vs_full_runs () =
-  let compare_on kb name steps =
-    let scoped_run =
-      with_scoping Homo.Core.Scoped (fun () ->
-          Chase.Variants.core ~budget:(budget steps) kb)
-    in
-    let full_run =
-      with_scoping Homo.Core.Exhaustive (fun () ->
-          Chase.Variants.core ~budget:(budget steps) kb)
-    in
-    Alcotest.(check bool)
-      (name ^ ": scoped and full runs equivalent")
-      true
-      (equivalent_runs scoped_run full_run)
-  in
-  compare_on (Zoo.Staircase.kb ()) "staircase" 20;
-  compare_on (Zoo.Elevator.kb ()) "elevator" 15;
+  check_steps "staircase" (Chase.Variants.core ~budget:(budget 20) (Zoo.Staircase.kb ()));
+  check_steps "elevator" (Chase.Variants.core ~budget:(budget 15) (Zoo.Elevator.kb ()));
   List.iteri
-    (fun i kb -> compare_on kb (Printf.sprintf "randomkb%d" i) 20)
+    (fun i kb ->
+      check_steps (Printf.sprintf "randomkb%d" i)
+        (Chase.Variants.core ~budget:(budget 20) kb))
     (Zoo.Randomkb.generate_many ~seed:23 ~count:3 Zoo.Randomkb.default)
 
 let test_audit_core_both_cadences () =
-  with_scoping Homo.Core.Audit (fun () ->
-      let kb = Zoo.Staircase.kb () in
-      ignore (Chase.Variants.core ~budget:(budget 20) kb);
-      ignore
-        (Chase.Variants.core ~cadence:Chase.Variants.Every_round
-           ~budget:(budget 15) kb);
-      ignore (Chase.Variants.core ~budget:(budget 15) (Zoo.Elevator.kb ())))
+  let kb = Zoo.Staircase.kb () in
+  check_steps "staircase" (Chase.Variants.core ~budget:(budget 20) kb);
+  let c, journal = Reference.round_core_checker () in
+  ignore
+    (Chase.Variants.core ~cadence:Chase.Variants.Every_round ~journal
+       ~budget:(budget 15) kb);
+  Alcotest.(check int) "per round: scoped core ≅ full core" 0
+    c.Reference.disagreements;
+  Alcotest.(check bool) "per round: rounds were checked" true
+    (c.Reference.rounds > 0);
+  check_steps "elevator" (Chase.Variants.core ~budget:(budget 15) (Zoo.Elevator.kb ()))
 
 let test_audit_stream_core () =
-  with_scoping Homo.Core.Audit (fun () ->
-      ignore
-        (List.of_seq
-           (Seq.take 12 (Chase.Variants.stream ~variant:`Core (Zoo.Staircase.kb ())))))
+  match
+    List.rev
+      (List.of_seq
+         (Seq.take 12 (Chase.Variants.stream ~variant:`Core (Zoo.Staircase.kb ()))))
+  with
+  | d :: _ ->
+      Alcotest.(check bool) "stream: every step's scoped core ≅ full core" true
+        (Reference.core_steps_agree d)
+  | [] -> Alcotest.fail "empty stream"
 
+(* The EGD engine records no steps, only its instance after every TGD
+   round and EGD saturation.  A round whose saturation merged nothing
+   leaves the last step's retraction in place, which must be a core by
+   the full fold search; the trace's round and merge events tell those
+   rounds apart. *)
 let test_audit_egds_core () =
-  with_scoping Homo.Core.Audit (fun () ->
-      let x = Term.fresh_var ~hint:"X" ()
-      and y = Term.fresh_var ~hint:"Y" ()
-      and z = Term.fresh_var ~hint:"Z" () in
-      let fd =
-        Egd.make ~name:"fd"
-          ~body:[ atom "emp" [ x; y ]; atom "emp" [ x; z ] ]
-          y z
-      in
-      let x2 = Term.fresh_var ~hint:"X" () and w = Term.fresh_var ~hint:"W" () in
-      let rule =
-        Rule.make ~name:"hire"
-          ~body:[ atom "dept" [ x2 ] ]
-          ~head:[ atom "emp" [ x2; w ]; atom "dept" [ w ] ]
-          ()
-      in
-      let kb =
-        Kb.with_egds [ fd ]
-          (Kb.of_lists
-             ~facts:
-               [
-                 atom "dept" [ Term.const "d0" ];
-                 atom "emp" [ Term.const "d0"; Term.const "e0" ];
-               ]
-             ~rules:[ rule ])
-      in
-      ignore (Chase.Variants.Egds.run ~variant:`Core ~budget:(budget 25) kb))
+  let kb = Test_incremental.egd_kb () in
+  let events = ref [] in
+  let sink =
+    Obs.Trace.Custom
+      (function
+      | Obs.Trace.Round_start _ -> events := `Round :: !events
+      | Obs.Trace.Egd_merge _ -> events := `Merge :: !events
+      | _ -> ())
+  in
+  let r =
+    Obs.Trace.with_sink sink (fun () ->
+        Chase.Variants.Egds.run ~variant:`Core ~budget:(budget 25) kb)
+  in
+  (* merged.(i): round i+1's saturation merged something *)
+  let merged =
+    List.fold_left
+      (fun acc ev ->
+        match (ev, acc) with
+        | `Round, _ -> false :: acc
+        | `Merge, _ :: rest -> true :: rest
+        | `Merge, [] -> acc)
+      [] (List.rev !events)
+    |> List.rev |> Array.of_list
+  in
+  let checked = ref 0 in
+  List.iteri
+    (fun i inst ->
+      if i >= 1 && i <= Array.length merged && not merged.(i - 1) then begin
+        incr checked;
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d ends on a core" i)
+          true (Homo.Core.is_core inst)
+      end)
+    r.Chase.Variants.Egds.trace;
+  Alcotest.(check bool) "rounds were checked" true (!checked > 0)
 
 let test_audit_randomkb_core () =
-  with_scoping Homo.Core.Audit (fun () ->
-      List.iter
-        (fun kb -> ignore (Chase.Variants.core ~budget:(budget 20) kb))
-        (Zoo.Randomkb.generate_many ~seed:31 ~count:4 Zoo.Randomkb.default))
+  List.iteri
+    (fun i kb ->
+      check_steps (Printf.sprintf "randomkb%d" i)
+        (Chase.Variants.core ~budget:(budget 20) kb))
+    (Zoo.Randomkb.generate_many ~seed:31 ~count:4 Zoo.Randomkb.default)
 
 let suites =
   [
@@ -364,15 +281,6 @@ let suites =
           test_born_and_atoms_since;
         Alcotest.test_case "apply_subst handles swaps" `Quick
           test_apply_subst_swaps_content;
-      ] );
-    ( "scoped_core.memo",
-      [
-        Alcotest.test_case "failures cached per epoch" `Quick
-          test_memo_caches_failures;
-        Alcotest.test_case "disabled memo bypasses" `Quick
-          test_memo_disabled_bypasses;
-        Alcotest.test_case "successes cached and revalidated" `Quick
-          test_memo_successes_cached;
       ] );
     ( "scoped_core.differential",
       [
