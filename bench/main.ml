@@ -179,10 +179,9 @@ let micro_tests =
         ignore (Modelfinder.find_model_upto ~max_domain:3 (Zoo.Classic.bts_not_fes ()))));
     Test.make ~name:"tw:exact-grid-4x4" (Staged.stage (fun () ->
         ignore (Treewidth.exact grid4)));
-    (* ablations (DESIGN.md §4) *)
+    (* ablations (DESIGN.md §4); abl:hom-order:greedy times the one hom
+       solver (flat atoms, indexed buckets, most-constrained-first) *)
     Test.make ~name:"abl:hom-order:greedy" (Staged.stage (fun () ->
-        ignore (Homo.Hom.count staircase_query staircase_instance)));
-    Test.make ~name:"abl:index:on" (Staged.stage (fun () ->
         ignore (Homo.Hom.count staircase_query staircase_instance)));
     Test.make ~name:"abl:core:by-variable" (Staged.stage (fun () ->
         ignore (Homo.Core.of_atomset step4)));
@@ -224,10 +223,6 @@ let micro_tests =
     Test.make ~name:"abl:core:scoped" (Staged.stage (fun () ->
         ignore (Chase.Variants.core ~budget:(budget 60) (Zoo.Staircase.kb ()));
         ignore (Chase.Variants.core ~budget:(budget 35) (Zoo.Elevator.kb ()))));
-    (* atom representation (DESIGN.md §12): the flat interned solver on
-       the hom-order enumeration *)
-    Test.make ~name:"abl:hom:repr:flat" (Staged.stage (fun () ->
-        ignore (Homo.Hom.count staircase_query staircase_instance)));
     (* durability overhead (DESIGN.md §16): the same restricted chase
        with every derivation step journaled into a fresh WAL directory,
        once per fsync policy.  sync-every pays one fsync per record;

@@ -153,33 +153,58 @@ let tau_trace r ~from_ ~to_ =
   in
   go (from_ + 1) Subst.empty
 
-let aggregation r =
+(* Two independent ways to compute a prefix aggregation.  Each pass is
+   linear in the prefix length and counts as one aggregation.
+
+   Forward (production): [D⊛_0 = G_0] and [D⊛_{j+1} = τ_{j+1}(D⊛_j) ∪
+   G_{j+1}].  Exact, not just up to isomorphism: [τ̄_i^{j+1} = τ_{j+1} •
+   τ̄_i^j] and applying a substitution distributes over union.  One pass
+   yields every prefix aggregation in turn; only the current one is live.
+
+   Top down (the cross-check in [check_invariants]): [⋃_{i≤k} τ̄_i^k(G_i)]
+   with the trace built from the last index backwards, [τ̄_i^k = τ̄_{i+1}^k
+   • τ_{i+1}].  It shares no intermediate value with the forward pass. *)
+let top_down r =
   Obs.Metrics.incr m_aggregations;
-  (* τ̄_i^k built from the top down: τ̄_i^k = τ̄_{i+1}^k • τ_{i+1} *)
   let rec go i trace acc =
-    if i < 0 then acc
-    else
-      let acc = Atomset.union acc (Subst.apply trace (g_at r i)) in
-      if i = 0 then acc
-      else go (i - 1) (Subst.compose trace (step r i).tau) acc
+    let acc = Atomset.union acc (Subst.apply trace (g_at r i)) in
+    if i = 0 then acc else go (i - 1) (Subst.compose trace (step r i).tau) acc
   in
   go (r.len - 1) Subst.empty Atomset.empty
 
+(* Fold [f] over D⊛_0 … D⊛_upto, built by the forward recurrence *)
+let forward_fold r ~upto f init =
+  Obs.Metrics.incr m_aggregations;
+  let rec go j d acc =
+    let acc = f j d acc in
+    if j = upto then acc
+    else
+      let st = step r (j + 1) in
+      go (j + 1) (Atomset.union (Subst.apply st.tau d) st.g) acc
+  in
+  go 0 (g_at r 0) init
+
+let forward r ~upto = forward_fold r ~upto (fun _ d _ -> d) Atomset.empty
+
+(* [τ̄_i^K] at every index [i] in [is], in one backward pass:
+   [τ̄_i^K = τ̄_{i+1}^K • τ_{i+1}] *)
+let traces_to_end r is =
+  let wanted = Array.make r.len false in
+  List.iter (fun i -> wanted.(i) <- true) is;
+  let traces = Array.make r.len None in
+  let rec go j trace =
+    if wanted.(j) then traces.(j) <- Some trace;
+    if j > 0 then go (j - 1) (Subst.compose trace (step r j).tau)
+  in
+  go (r.len - 1) Subst.empty;
+  traces
+
+let aggregation r = forward r ~upto:(r.len - 1)
+
 let aggregation_upto r i =
   if i < 0 || i >= r.len then invalid_arg "Robust.aggregation_upto";
-  (* ∪_{j≤i} τ̄_j^K(G_j): the same top-down traversal as [aggregation], but
-     only indices up to [i] contribute (their images are still pushed
-     through every remaining τ of the prefix) *)
-  let rec go j trace acc =
-    if j < 0 then acc
-    else
-      let acc =
-        if j <= i then Atomset.union acc (Subst.apply trace (g_at r j))
-        else acc
-      in
-      if j = 0 then acc else go (j - 1) (Subst.compose trace (step r j).tau) acc
-  in
-  go (r.len - 1) Subst.empty Atomset.empty
+  (* ⋃_{j≤i} τ̄_j^K(G_j) = τ̄_i^K(D⊛_i) *)
+  Subst.apply (Option.get (traces_to_end r [ i ]).(i)) (forward r ~upto:i)
 
 let fold_indices r =
   List.filter_map
@@ -189,34 +214,34 @@ let fold_indices r =
     (Chase.Derivation.steps r.derivation)
 
 let stable_aggregation r =
-  Obs.Metrics.incr m_aggregations;
   (* Candidate truncation points are the simplification (fold) boundaries;
      the stable part of D⊛ surfaces at the boundaries where a whole step
-     has been retracted away.  Pick the latest candidate of minimal atom
-     count relative to its depth — concretely: among fold indices, the
-     aggregation-upto with the smallest width-proxy (atoms per index),
-     preferring later indices on ties.  Falls back to the full aggregation
-     when the derivation never simplifies (monotonic case). *)
+     has been retracted away.  Among fold indices, pick the
+     [aggregation_upto] of minimal treewidth, preferring the larger (more
+     complete) and later one on ties.  Falls back to the full aggregation
+     when the derivation never simplifies (monotonic case).
+
+     Two linear passes instead of one fold per candidate: the backward
+     pass collects [τ̄_i^K] at the fold indices, the forward pass pushes
+     each [D⊛_i] through its trace as it goes by and keeps only the best
+     candidate so far.  Scores are distinct ([-i] breaks every tie), so
+     the minimum does not depend on the visiting order. *)
   match fold_indices r with
   | [] -> aggregation r
   | folds ->
-      let scored =
-        List.map
-          (fun i ->
-            let a = aggregation_upto r i in
-            (* minimise treewidth; on ties prefer the larger (more complete)
-               and later aggregation *)
-            let w = Treewidth.upper_bound a in
-            ((w, -Atomset.cardinal a, -i), a))
-          folds
+      let traces = traces_to_end r folds in
+      let consider i d best =
+        match traces.(i) with
+        | None -> best
+        | Some trace -> (
+            let a = Subst.apply trace d in
+            let s = (Treewidth.upper_bound a, -Atomset.cardinal a, -i) in
+            match best with
+            | Some (bs, _) when bs <= s -> best
+            | _ -> Some (s, a))
       in
-      let _, best =
-        List.fold_left
-          (fun (bs, ba) (s, a) -> if s < bs then (s, a) else (bs, ba))
-          (match scored with x :: _ -> x | [] -> assert false)
-          scored
-      in
-      best
+      let last = List.fold_left max 0 folds in
+      snd (Option.get (forward_fold r ~upto:last consider None))
 
 let check_invariants r =
   let ( let* ) = Result.bind in
@@ -257,16 +282,10 @@ let check_invariants r =
     end
   in
   let* () = loop 0 in
-  (* Lemma 1(i) on prefixes: pushing the length-j prefix aggregation through
-     τ_{j+1} lands inside the length-(j+1) prefix aggregation *)
-  let prefix_of j = { r with steps_arr = Array.sub r.steps_arr 0 j; len = j } in
-  let rec mono j =
-    if j >= r.len then Ok ()
-    else
-      let a_j = aggregation (prefix_of j) in
-      let a_j1 = aggregation (prefix_of (j + 1)) in
-      let pushed = Subst.apply rsteps.(j).tau a_j in
-      if Atomset.subset pushed a_j1 then mono (j + 1)
-      else Error (Printf.sprintf "prefix aggregation not monotone at %d" j)
-  in
-  mono 1
+  (* Lemma 1(i): the prefix aggregations grow along the τ's, D⊛_{j+1} =
+     τ_{j+1}(D⊛_j) ∪ G_{j+1}.  The forward pass is built from exactly that
+     recurrence, so it is checked against the independent top-down fold
+     ⋃ τ̄_i^K(G_i) on the full prefix (and at every prefix by the tests) *)
+  check
+    (Atomset.equal (forward r ~upto:(r.len - 1)) (top_down r))
+    "forward prefix aggregation ≠ top-down fold ⋃ τ̄_i^K(G_i) (Lemma 1(i))"

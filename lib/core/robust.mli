@@ -60,13 +60,15 @@ val tau_trace : t -> from_:int -> to_:int -> Subst.t
 
 val aggregation : t -> Atomset.t
 (** The prefix robust aggregation [⋃_{i≤k} τ̄_i^k(G_i)] where [k] is the
-    last index of the prefix. *)
+    last index of the prefix, computed in one forward pass by the exact
+    recurrence [D⊛_0 = G_0], [D⊛_{j+1} = τ_{j+1}(D⊛_j) ∪ G_{j+1}]. *)
 
 val aggregation_upto : t -> int -> Atomset.t
 (** [aggregation_upto r i = ⋃_{j≤i} τ̄_j^K(G_j)] with [K] the prefix's last
     index: only the first [i+1] elements contribute, but their atoms are
     still pushed through every later [τ].  [aggregation_upto r K =
-    aggregation r]; the family is ⊆-monotone in [i] (Lemma 1(i)). *)
+    aggregation r]; the family is ⊆-monotone in [i] (Lemma 1(i)).
+    Computed as [τ̄_i^K(D⊛_i)], linear in the prefix length. *)
 
 val stable_aggregation : t -> Atomset.t
 (** The full prefix aggregation always carries the last instance verbatim
@@ -74,10 +76,13 @@ val stable_aggregation : t -> Atomset.t
     This function instead returns the {!aggregation_upto} at the
     simplification boundary of minimal treewidth (ties: largest, latest) —
     on the staircase this is exactly the stable column [Ĩ^h] of Section 8.
-    Both aggregations converge to [D⊛] as the prefix grows. *)
+    Both aggregations converge to [D⊛] as the prefix grows.  Two linear
+    passes over the prefix plus one treewidth bound per fold index. *)
 
 val check_invariants : t -> (unit, string) result
 (** Validate the construction on the prefix: each [σ'_i] is a retraction
     of [A'_i], each [ρ_i] an isomorphism [F_i → G_i], each [τ_i] maps
     [G_{i-1}] into [G_i], and the [τ̄(G_i)] increase monotonically
-    (Lemma 1(i)).  Used by tests and the experiment harness. *)
+    (Lemma 1(i)) — checked as: the forward aggregation of the full prefix
+    equals the independent top-down fold [⋃ τ̄_i^K(G_i)].  Linear in the
+    prefix length.  Used by tests and the experiment harness. *)

@@ -21,7 +21,10 @@
      (or round's) delta-scoped retraction against the [~scope:Full] one,
      up to isomorphism;
    - [core_by_atom]: a per-atom fold core to compare [Homo.Core]'s
-     per-variable one with. *)
+     per-variable one with;
+   - [Robust_ref]: the robust aggregations by their definitions, one
+     top-down fold per prefix (or per fold index), to compare with the
+     forward recurrence [Corechase.Robust] computes them by. *)
 
 open Syntax
 
@@ -302,3 +305,49 @@ let round_core_checker () =
     | _ -> ()
   in
   (c, journal)
+
+(* The robust aggregations read straight off Definition 16, from
+   [tau_trace] and [g_at] only: every index gets its own trace, so one
+   prefix costs a quadratic number of compositions. *)
+module Robust_ref = struct
+  module R = Corechase.Robust
+
+  (* ⋃_{i≤upto} τ̄_i^k(G_i) *)
+  let fold r ~upto ~k =
+    List.fold_left
+      (fun acc i ->
+        Atomset.union acc (Subst.apply (R.tau_trace r ~from_:i ~to_:k) (R.g_at r i)))
+      Atomset.empty
+      (List.init (upto + 1) Fun.id)
+
+  (* D⊛_j = ⋃_{i≤j} τ̄_i^j(G_i): the aggregation of the length-(j+1) prefix *)
+  let prefix_aggregation r j = fold r ~upto:j ~k:j
+
+  (* ⋃_{j≤i} τ̄_j^K(G_j), K the last index *)
+  let aggregation_upto r i = fold r ~upto:i ~k:(R.length r - 1)
+
+  (* the fold index whose [aggregation_upto] has the least treewidth bound,
+     then the most atoms, then the latest index; the full aggregation
+     when the derivation never simplifies *)
+  let stable_aggregation r =
+    let folds =
+      List.filter_map
+        (fun (st : Chase.Derivation.step) ->
+          if Subst.is_empty st.simplification then None else Some st.index)
+        (Chase.Derivation.steps (R.derivation r))
+    in
+    match folds with
+    | [] -> prefix_aggregation r (R.length r - 1)
+    | folds ->
+        let scored =
+          List.map
+            (fun i ->
+              let a = aggregation_upto r i in
+              ((Treewidth.upper_bound a, -Atomset.cardinal a, -i), a))
+            folds
+        in
+        snd
+          (List.fold_left
+             (fun (bs, ba) (s, a) -> if s < bs then (s, a) else (bs, ba))
+             (List.hd scored) scored)
+end

@@ -99,6 +99,93 @@ let test_robust_invariants_random_frugal () =
       | Ok () -> ()
       | Error m -> Alcotest.failf "kb %d (frugal): %s" i m)
 
+(* ------------------------------------------------------------------ *)
+(* Robust aggregation: the forward recurrence against the definitions *)
+
+(* Set equality, not isomorphism: at every prefix j the aggregation of the
+   length-(j+1) derivation prefix equals the top-down fold ⋃ τ̄_i^j(G_i);
+   at every i [aggregation_upto] equals ⋃_{j≤i} τ̄_j^K(G_j); and
+   [stable_aggregation] picks the same atomset as its definition. *)
+let check_robust_law name d =
+  let module R = Corechase.Robust in
+  let module Ref = Reference.Robust_ref in
+  let r = R.of_derivation d in
+  let steps = Chase.Derivation.steps d in
+  let agrees what ok =
+    Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true ok
+  in
+  List.iteri
+    (fun j _ ->
+      let prefix =
+        Chase.Derivation.of_steps (Chase.Derivation.kb d)
+          (List.filteri (fun i _ -> i <= j) steps)
+      in
+      agrees
+        (Printf.sprintf "D⊛_%d forward = top-down" j)
+        (Atomset.equal
+           (R.aggregation (R.of_derivation prefix))
+           (Ref.prefix_aggregation r j));
+      agrees
+        (Printf.sprintf "aggregation_upto %d" j)
+        (Atomset.equal (R.aggregation_upto r j) (Ref.aggregation_upto r j)))
+    steps;
+  agrees "stable_aggregation"
+    (Atomset.equal (R.stable_aggregation r) (Ref.stable_aggregation r))
+
+let staircase_run cadence =
+  Chase.Variants.core ~cadence
+    ~budget:{ Chase.Variants.max_steps = 40; max_atoms = 2000 }
+    (Zoo.Staircase.kb ())
+
+let test_robust_law_staircase () =
+  check_robust_law "staircase/every-application"
+    (staircase_run Chase.Variants.Every_application).Chase.Variants.derivation;
+  check_robust_law "staircase/every-round"
+    (staircase_run Chase.Variants.Every_round).Chase.Variants.derivation
+
+let test_robust_law_elevator () =
+  let run =
+    Chase.Variants.core
+      ~budget:{ Chase.Variants.max_steps = 30; max_atoms = 2000 }
+      (Zoo.Elevator.kb ())
+  in
+  check_robust_law "elevator" run.Chase.Variants.derivation
+
+let test_robust_law_random () =
+  over_random_kbs ~seed:17 ~count:10 (fun i kb ->
+      check_robust_law (Printf.sprintf "kb %d (core)" i)
+        (Chase.Variants.core ~budget:tiny kb).Chase.Variants.derivation);
+  over_random_kbs ~seed:29 ~count:8 (fun i kb ->
+      check_robust_law (Printf.sprintf "kb %d (frugal)" i)
+        (Chase.Variants.frugal ~budget:tiny kb).Chase.Variants.derivation)
+
+(* No timing: one [check_invariants] call computes a fixed number of
+   aggregations whatever the prefix length, so a per-prefix loop (which
+   would add 2(n-1) on an n-step prefix) cannot come back unnoticed. *)
+let test_check_invariants_aggregations_constant () =
+  let added steps =
+    let run =
+      Chase.Variants.core
+        ~budget:{ Chase.Variants.max_steps = steps; max_atoms = 100_000 }
+        (Zoo.Staircase.kb ())
+    in
+    let r = Corechase.Robust.of_derivation run.Chase.Variants.derivation in
+    let count () = Obs.Metrics.counter_value "robust.aggregations" in
+    let was = !Obs.Metrics.enabled in
+    Obs.Metrics.enabled := true;
+    let before = count () in
+    let res =
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.enabled := was)
+        (fun () -> Corechase.Robust.check_invariants r)
+    in
+    (match res with Ok () -> () | Error m -> Alcotest.fail m);
+    count () - before
+  in
+  let a40 = added 40 and a80 = added 80 in
+  Alcotest.(check int) "same count at 40 and 80 steps" a40 a80;
+  Alcotest.(check bool) "at most 2 aggregations per check" true (a40 <= 2)
+
 let test_terminating_variants_agree_random () =
   (* on datalog (always terminating), all Definition-1 variants produce
      hom-equivalent results *)
@@ -212,6 +299,13 @@ let suites =
         tc "robust invariants (frugal)" test_robust_invariants_random_frugal;
         tc "terminating variants agree" test_terminating_variants_agree_random;
         tc "datalog fes probes" test_datalog_fes_probe_random;
+      ] );
+    ( "integration.robust",
+      [
+        tc "forward = definitions: staircase" test_robust_law_staircase;
+        tc "forward = definitions: elevator" test_robust_law_elevator;
+        tc "forward = definitions: random KBs" test_robust_law_random;
+        tc "check_invariants aggregation count" test_check_invariants_aggregations_constant;
       ] );
     ( "integration.certificates",
       [
