@@ -516,38 +516,18 @@ let entail_cmd =
           | Chase.Engine_core -> `Core
           | Chase.Engine_datalog | Chase.Engine_restricted -> `Restricted)
     in
-    let code = ref exit_ok in
-    let worsen c = if c > !code then code := c in
-    (* rendering shared with the server's ENTAIL handler: the
-       differential law (serve ≡ batch CLI, byte for byte) holds
-       because both paths go through [Server.Queryeval] *)
-    let say (line, sev) =
-      worsen (Server.Queryeval.exit_code sev);
-      Fmt.pr "%s@." line
+    (* one chase per document; every query is answered from its final
+       element by the function the server's ENTAIL handler calls too,
+       so serve ≡ batch CLI holds byte for byte by construction *)
+    let lines, sev =
+      Resilience.with_token token (fun () ->
+          Server.Queryeval.document_lines ~max_domain ~budget kb
+            (lazy (Server.Queryeval.chase_snapshot ~variant ~budget kb))
+            doc)
     in
-    Resilience.with_token token (fun () ->
-        (match doc.Dlgp.constraints with
-        | [] -> ()
-        | constraints ->
-            say
-              (Server.Queryeval.constraints_line
-                 (Corechase.Entailment.inconsistent ~budget ~constraints kb)));
-        if doc.Dlgp.queries = [] then Fmt.pr "no queries in %s@." file
-        else
-          List.iter
-            (fun q ->
-              if Kb.Query.is_boolean q then
-                say
-                  (Server.Queryeval.verdict_line q
-                     (Corechase.Entailment.decide ~variant ~budget ~max_domain
-                        kb q))
-              else
-                say
-                  (Server.Queryeval.answers_line q
-                     (Corechase.Entailment.certain_answers ~variant ~budget kb
-                        q)))
-            doc.Dlgp.queries);
-    !code
+    List.iter (Fmt.pr "%s@.") lines;
+    if doc.Dlgp.queries = [] then Fmt.pr "no queries in %s@." file;
+    Server.Queryeval.exit_code sev
   in
   let max_domain =
     Arg.(value & opt int 4 & info [ "max-domain" ] ~doc:"Countermodel domain budget.")

@@ -11,15 +11,6 @@ let holds_in q inst = Homo.Hom.maps_to (Kb.Query.atoms q) inst
 
 let holds_in_indexed q indexed = Homo.Hom.exists (Kb.Query.atoms q) indexed
 
-(* Scan a derivation's elements against a per-element check, indexing each
-   instance exactly once (the indexed form is shared by every query /
-   disjunct probed against that element). *)
-let exists_step d check =
-  List.exists
-    (fun st ->
-      check (Homo.Instance.of_atomset st.Chase.Derivation.instance))
-    (Chase.Derivation.steps d)
-
 (* The engines catch deadline/cancellation at their own boundary, but the
    hom searches probing the derivation elements afterwards run outside it
    and re-raise [Resilience.Interrupted]; fold that into the verdict so
@@ -35,19 +26,32 @@ let stopped_why outcome =
   Fmt.str "chase stopped (%s) without finding the query"
     (Resilience.outcome_name outcome)
 
-let via_chase ?(variant = `Core) ?budget kb q =
-  guard_verdict @@ fun () ->
+(* One chase run, reduced to what every entry point answers from: the
+   outcome and the final derivation element.  By Proposition 1 every
+   element F_i maps homomorphically into F_final (monotone growth for
+   the restricted chase, the fold endomorphisms σ for the core chase),
+   so [Q ↪ F_i] for some [i] iff [Q ↪ F_final], and a constant answer
+   tuple found in any element persists into the final one. *)
+let chase_final ~variant ?budget kb =
   let run =
     match variant with
     | `Restricted -> Chase.Variants.restricted ?budget kb
     | `Core -> Chase.Variants.core ?budget kb
   in
-  let d = run.Chase.Variants.derivation in
-  let hit = exists_step d (holds_in_indexed q) in
-  if hit then Entailed
-  else if run.Chase.Variants.outcome = Chase.Variants.Fixpoint then
-    Not_entailed
-  else Unknown (stopped_why run.Chase.Variants.outcome)
+  ( run.Chase.Variants.outcome,
+    (Chase.Derivation.last run.Chase.Variants.derivation)
+      .Chase.Derivation.instance )
+
+(* The chase side of a verdict on an indexed snapshot. *)
+let snapshot_verdict ~outcome indexed q =
+  if holds_in_indexed q indexed then Entailed
+  else if Resilience.terminated outcome then Not_entailed
+  else Unknown (stopped_why outcome)
+
+let via_chase ?(variant = `Core) ?budget kb q =
+  guard_verdict @@ fun () ->
+  let outcome, final = chase_final ~variant ?budget kb in
+  snapshot_verdict ~outcome (Homo.Instance.of_atomset final) q
 
 let via_countermodel ~max_domain kb q =
   match Modelfinder.find_model_upto ~max_domain ~forbid:q kb with
@@ -56,45 +60,13 @@ let via_countermodel ~max_domain kb q =
 
 type answers = Complete of Term.t list list | Sound of Term.t list list
 
-let certain_answers ?(variant = `Core) ?budget kb q =
-  let avars = Kb.Query.answer_vars q in
-  if avars = [] then
-    invalid_arg "Entailment.certain_answers: Boolean query";
-  let run =
-    match variant with
-    | `Restricted -> Chase.Variants.restricted ?budget kb
-    | `Core -> Chase.Variants.core ?budget kb
-  in
-  let d = run.Chase.Variants.derivation in
-  (* collect over every derivation element: each is universal for K, so a
-     constant tuple found anywhere is certain; a tuple can be present early
-     and collapsed later, so the union over elements is still sound *)
-  match
-    List.fold_left
-      (fun acc st ->
-        List.fold_left
-          (fun acc t -> if List.mem t acc then acc else t :: acc)
-          acc
-          (Homo.Cq.certain_answers ~answer_vars:avars q
-             st.Chase.Derivation.instance))
-      []
-      (Chase.Derivation.steps d)
-    |> List.sort_uniq (List.compare Term.compare)
-  with
-  | tuples ->
-      if run.Chase.Variants.outcome = Chase.Variants.Fixpoint then
-        Complete tuples
-      else Sound tuples
-  | exception e -> (
-      (* interrupted while scanning: the tuples found so far are still
-         certain, but completeness is off the table *)
-      match Resilience.outcome_of_exn e with
-      | Some _ -> Sound []
-      | None -> raise e)
-
-let decide ?(variant = `Core) ?budget ?(max_domain = 4) kb q =
+(* The snapshot functions are the one evaluation path: the server
+   answers from the snapshot its CHASE stamped, and the batch entry
+   points below from the final element of a fresh chase (DESIGN.md
+   §15), so batch and serve agree byte for byte by construction. *)
+let decide_in_snapshot ?(max_domain = 4) ~outcome indexed kb q =
   guard_verdict @@ fun () ->
-  match via_chase ~variant ?budget kb q with
+  match snapshot_verdict ~outcome indexed q with
   | (Entailed | Not_entailed) as v -> v
   | Unknown why1 -> (
       match via_countermodel ~max_domain kb q with
@@ -102,27 +74,10 @@ let decide ?(variant = `Core) ?budget ?(max_domain = 4) kb q =
       | Unknown why2 -> Unknown (why1 ^ "; " ^ why2)
       | Entailed -> assert false)
 
-(* Snapshot-based entailment (DESIGN.md §15): the server chases a KB
-   once and serves many queries from the stamped result.  Soundness of
-   the final-instance-only checks: every derivation element maps
-   homomorphically into the final one (monotone growth for restricted /
-   datalog, the fold endomorphisms for core and frugal), so [Q ↪ F_i]
-   for any [i] implies [Q ↪ F_final] — probing the final element alone
-   decides exactly what [via_chase]'s every-element scan decides, and a
-   constant answer tuple found anywhere persists into the final element
-   (homomorphisms fix constants).  The verdicts — including the Unknown
-   message strings — therefore match a fresh {!decide} on the same KB
-   and budget byte for byte, which the server differential suite pins. *)
-let decide_in_snapshot ?(max_domain = 4) ~outcome indexed kb q =
+let decide ?(variant = `Core) ?budget ?max_domain kb q =
   guard_verdict @@ fun () ->
-  if holds_in_indexed q indexed then Entailed
-  else if Resilience.terminated outcome then Not_entailed
-  else
-    let why1 = stopped_why outcome in
-    match via_countermodel ~max_domain kb q with
-    | Not_entailed -> Not_entailed
-    | Unknown why2 -> Unknown (why1 ^ "; " ^ why2)
-    | Entailed -> assert false
+  let outcome, final = chase_final ~variant ?budget kb in
+  decide_in_snapshot ?max_domain ~outcome (Homo.Instance.of_atomset final) kb q
 
 let certain_answers_in_snapshot ~outcome final q =
   let avars = Kb.Query.answer_vars q in
@@ -135,12 +90,27 @@ let certain_answers_in_snapshot ~outcome final q =
   | tuples ->
       if Resilience.terminated outcome then Complete tuples else Sound tuples
   | exception e -> (
+      (* interrupted while evaluating: the tuples found so far are still
+         certain, but completeness is off the table *)
       match Resilience.outcome_of_exn e with
       | Some _ -> Sound []
       | None -> raise e)
 
-let inconsistent ?budget ?(max_domain = 4) ~constraints kb =
-  let verdicts = List.map (fun c -> decide ?budget ~max_domain kb c) constraints in
+let certain_answers ?(variant = `Core) ?budget kb q =
+  if Kb.Query.answer_vars q = [] then
+    invalid_arg "Entailment.certain_answers: Boolean query";
+  let outcome, final = chase_final ~variant ?budget kb in
+  certain_answers_in_snapshot ~outcome final q
+
+(* One core chase answers every constraint. *)
+let inconsistent ?budget ?max_domain ~constraints kb =
+  let outcome, final = chase_final ~variant:`Core ?budget kb in
+  let indexed = Homo.Instance.of_atomset final in
+  let verdicts =
+    List.map
+      (fun c -> decide_in_snapshot ?max_domain ~outcome indexed kb c)
+      constraints
+  in
   if List.exists (fun v -> v = Entailed) verdicts then Entailed
   else if List.for_all (fun v -> v = Not_entailed) verdicts then Not_entailed
   else Unknown "some constraint checks exhausted their budget"
@@ -151,15 +121,9 @@ let ucq_holds_in u inst =
 
 let decide_ucq ?budget ?(max_domain = 4) kb u =
   guard_verdict @@ fun () ->
-  let run = Chase.Variants.core ?budget kb in
-  let d = run.Chase.Variants.derivation in
-  let hit =
-    exists_step d (fun indexed ->
-        List.exists (fun q -> holds_in_indexed q indexed) (Ucq.disjuncts u))
-  in
-  if hit then Entailed
-  else if run.Chase.Variants.outcome = Chase.Variants.Fixpoint then
-    Not_entailed
+  let outcome, final = chase_final ~variant:`Core ?budget kb in
+  if ucq_holds_in u final then Entailed
+  else if Resilience.terminated outcome then Not_entailed
   else
     match
       Modelfinder.find_model_upto ~max_domain ~forbid_all:(Ucq.disjuncts u) kb

@@ -11,7 +11,18 @@
       searches treewidth-bounded models via Courcelle; we search
       domain-size-bounded models — see DESIGN.md §1.)
     - {!decide}: Theorem 1's skeleton — both procedures with increasing
-      budgets; each is sound, so the first verdict wins. *)
+      budgets; each is sound, so the first verdict wins.
+
+    Every chase-based entry point probes the {e final} derivation
+    element only.  Each [F_i] maps homomorphically into every later
+    element (Proposition 1: a step adds the atoms of one trigger
+    application, then applies a simplification, itself a homomorphism),
+    so [Q ↪ F_i] for some [i] iff [Q ↪ F_final],
+    and a constant answer tuple found in any element persists into the
+    final one (homomorphisms fix constants).  {!decide} and
+    {!certain_answers} are therefore one chase followed by
+    {!decide_in_snapshot} / {!certain_answers_in_snapshot}, the
+    functions the server answers from (DESIGN.md §15). *)
 
 open Syntax
 
@@ -32,8 +43,15 @@ val holds_in_indexed : Kb.Query.t -> Homo.Instance.t -> bool
 val via_chase :
   ?variant:[ `Restricted | `Core ] -> ?budget:Chase.Variants.budget ->
   Kb.t -> Kb.Query.t -> verdict
-(** Default variant: [`Core] (the variant that terminates whenever a finite
-    universal model exists). *)
+(** Chase once, then probe [Q] against the indexed final element.
+    Default variant: [`Core] (the variant that terminates whenever a
+    finite universal model exists). *)
+
+val chase_final :
+  variant:[ `Restricted | `Core ] -> ?budget:Chase.Variants.budget ->
+  Kb.t -> Resilience.outcome * Atomset.t
+(** Run the chosen chase variant once: its outcome and final derivation
+    element, the snapshot every chase-based entry point answers from. *)
 
 val via_countermodel : max_domain:int -> Kb.t -> Kb.Query.t -> verdict
 (** [Not_entailed] if a countermodel with at most [max_domain] elements
@@ -44,7 +62,8 @@ val decide :
   ?max_domain:int -> Kb.t -> Kb.Query.t -> verdict
 (** Runs {!via_chase} (with the chosen chase variant, default [`Core])
     then, if inconclusive, {!via_countermodel} (defaults: the chase
-    default budget; domains up to 4).  [`Restricted] is the engine the
+    default budget; domains up to 4) — i.e. {!decide_in_snapshot} on
+    the chase's final element.  [`Restricted] is the engine the
     analyzer routes to when it certifies termination: on such KBs both
     variants reach a universal model, so the verdict is unchanged. *)
 
@@ -75,9 +94,11 @@ val certain_answers :
   ?variant:[ `Restricted | `Core ] -> ?budget:Chase.Variants.budget ->
   Kb.t -> Kb.Query.t -> answers
 (** Certain answers of a query with distinguished variables: all-constant
-    images of the answer variables over the chase result.  Soundness before
-    termination comes from every derivation element being universal for
-    [K] (Proposition 1(1)).
+    images of the answer variables over the final chase element
+    ({!certain_answers_in_snapshot}).  Soundness before termination
+    comes from every derivation element being universal for [K]
+    (Proposition 1(1)); no earlier element holds a constant tuple the
+    final one lacks, since they all map forward into it.
     @raise Invalid_argument on Boolean queries (use {!decide}). *)
 
 val certain_answers_in_snapshot :
@@ -94,8 +115,9 @@ val decide_ucq :
   ?budget:Chase.Variants.budget -> ?max_domain:int -> Kb.t -> Ucq.t ->
   verdict
 (** UCQ entailment: [K ⊨ ⋁ qᵢ] iff some disjunct maps into a universal
-    model (UCQs are homomorphism-preserved).  The chase side checks each
-    derivation element against the union; the countermodel side refutes
+    model (UCQs are homomorphism-preserved).  The chase side checks the
+    final core-chase element against the union (it receives every
+    earlier element, Proposition 1); the countermodel side refutes
     {e all} disjuncts simultaneously — note a disjunct-wise [decide] would
     be unsound for the "no" direction, since each disjunct could fail in a
     different model. *)
@@ -105,4 +127,7 @@ val inconsistent :
   constraints:Kb.Query.t list -> Kb.t -> verdict
 (** Negative-constraint checking: [Entailed] here means "the KB violates
     some constraint" (a constraint body is entailed); [Not_entailed] means
-    consistent (w.r.t. the given constraints). *)
+    consistent (w.r.t. the given constraints).  One core chase answers
+    every constraint through {!decide_in_snapshot}: any [Entailed]
+    verdict makes the KB inconsistent, all [Not_entailed] make it
+    consistent, anything else is [Unknown]. *)

@@ -3,33 +3,6 @@ open Syntax
 module IMap = Map.Make (Int)
 module AMap = Map.Make (Atom)
 
-(* Generation epochs.  A single process-wide counter hands out a fresh
-   epoch to every instance value whose content differs from its parent's,
-   so equal generations imply equal atom sets, and birth stamps taken
-   from the same clock order every atom's arrival ([atoms_since]).  The
-   converse does not hold (two independently built instances with the
-   same atoms get different generations). *)
-(* Atomic: instances are built from worker domains too (scoped fold
-   searches, tests hammering allocation from raw domains), and a
-   duplicated epoch would give two different contents the same
-   generation. *)
-let gen_counter = Atomic.make 0
-
-let next_gen () = Atomic.fetch_and_add gen_counter 1 + 1
-
-let generation_counter_value () = Atomic.get gen_counter
-
-(* WAL recovery restores the epoch clock monotonically: raising it
-   to at least the persisted value keeps every post-resume generation
-   distinct from every logged one.  Never set it down — a re-issued
-   epoch would let two different contents share a generation. *)
-let ensure_generation_counter_at_least n =
-  let rec bump () =
-    let cur = Atomic.get gen_counter in
-    if n > cur && not (Atomic.compare_and_set gen_counter cur n) then bump ()
-  in
-  bump ()
-
 (* Every atom is stored once, in both representations: the flat mirror
    drives matching and index keys, the boxed original is what every
    public accessor hands back — so hints survive and printing never goes
@@ -60,10 +33,6 @@ let bucket_remove fa b =
   | None -> b
   | Some items -> { n = b.n - 1; items }
 
-(* Per-atom bookkeeping: the epoch that added the atom (delta scoping)
-   and its encoded entry (so removal and rewriting never re-encode). *)
-type info = { stamp : int; entry : fentry }
-
 (* The whole per-predicate index: the predicate's bucket plus, per
    argument position, a map from term code to the bucket of atoms
    carrying that code there.  Hanging the position maps off the
@@ -80,22 +49,22 @@ let pindex_empty = { all = bucket_empty; pos = [||] }
 
 type t = {
   atoms : Atomset.t;
-  info : info AMap.t;
+  entries : fentry AMap.t;
+      (** every atom's encoded entry, so removal and rewriting never
+          re-encode *)
   by_pred : pindex IMap.t;  (** predicate id -> that predicate's indexes *)
   by_code : (Term.t * bucket) IMap.t;
       (** term code -> (a boxed witness of the code, atoms containing it
           anywhere).  The witness makes decoding solver-found images
           hint-exact: codes drop hints, the witness kept them. *)
-  generation : int;  (** cache epoch; equal generations ⇒ equal content *)
 }
 
 let empty =
   {
     atoms = Atomset.empty;
-    info = AMap.empty;
+    entries = AMap.empty;
     by_pred = IMap.empty;
     by_code = IMap.empty;
-    generation = 0;
   }
 
 let bump e = function
@@ -157,19 +126,17 @@ let add_atom ins a =
         (fun bc (c, w) -> IMap.update c (bump_coded e w) bc)
         ins.by_code (distinct_coded_args e)
     in
-    let g = next_gen () in
     {
       atoms = Atomset.add a ins.atoms;
-      info = AMap.add a { stamp = g; entry = e } ins.info;
+      entries = AMap.add a e ins.entries;
       by_pred;
       by_code;
-      generation = g;
     }
 
 let remove_atom ins a =
-  match AMap.find_opt a ins.info with
+  match AMap.find_opt a ins.entries with
   | None -> ins
-  | Some { entry = e; _ } ->
+  | Some e ->
       let fa = e.flat in
       let pid = fa.Flat.pred in
       let by_pred =
@@ -193,10 +160,9 @@ let remove_atom ins a =
       in
       {
         atoms = Atomset.remove a ins.atoms;
-        info = AMap.remove a ins.info;
+        entries = AMap.remove a ins.entries;
         by_pred;
         by_code;
-        generation = next_gen ();
       }
 
 let add_atoms ins atoms = List.fold_left add_atom ins atoms
@@ -255,19 +221,6 @@ let apply_subst sigma ins =
       changed ins
 
 let atomset ins = ins.atoms
-
-let generation ins = ins.generation
-
-let born ins a =
-  match AMap.find_opt a ins.info with
-  | Some { stamp; _ } -> Some stamp
-  | None -> None
-
-let atoms_since ins g =
-  AMap.fold
-    (fun a { stamp; _ } acc -> if stamp > g then a :: acc else acc)
-    ins.info []
-  |> List.sort Atom.compare
 
 let cardinal ins = Atomset.cardinal ins.atoms
 
@@ -378,15 +331,14 @@ let invariants_ok ins =
               (fun c (w, _) -> Flat.code_of_term w = c)
               (IMap.singleton (Flat.code_of_term w1) (w1, b1)))
        ins.by_code fresh.by_code
-  && (* entries cover exactly the live atoms, agree with a fresh encode,
-        and never postdate the instance's own epoch *)
-  AMap.cardinal ins.info = Atomset.cardinal ins.atoms
+  && (* entries cover exactly the live atoms and agree with a fresh
+        encode *)
+  AMap.cardinal ins.entries = Atomset.cardinal ins.atoms
   && AMap.for_all
-       (fun a { stamp; entry } ->
+       (fun a entry ->
          Atomset.mem a ins.atoms
-         && stamp <= ins.generation
          && Atom.equal entry.boxed a
          && Flat.equal entry.flat (Flat.encode a))
-       ins.info
+       ins.entries
 
 let pp ppf ins = Atomset.pp ppf ins.atoms

@@ -47,37 +47,6 @@ val apply_subst : Subst.t -> t -> t
 
 val atomset : t -> Atomset.t
 
-val generation : t -> int
-(** Epoch of this instance value.  Epochs are handed out by a
-    process-wide counter: every content-changing operation
-    ({!add_atoms}, {!remove_atoms}, {!apply_subst}) returns an instance
-    with a fresh, strictly larger generation, while no-op updates keep
-    the old one.  Consequently equal generations imply equal atom sets,
-    and birth stamps ({!born}) taken from the same clock order atom
-    arrivals.  The converse does not hold — equal content rebuilt
-    independently gets a different epoch.  [empty] has generation
-    [0]. *)
-
-val generation_counter_value : unit -> int
-(** Current value of the process-wide epoch counter.  Persisted by the
-    chase's write-ahead log (DESIGN.md §11, §16). *)
-
-val ensure_generation_counter_at_least : int -> unit
-(** Raise the epoch counter to at least the given value (monotone: a
-    smaller value is a no-op).  WAL recovery calls this so no
-    post-resume instance can re-issue a logged epoch. *)
-
-val born : t -> Atom.t -> int option
-(** [born ins a] is the generation stamp at which [a]'s current entry was
-    added to [ins] ([None] if [a ∉ ins]).  An atom removed and later
-    re-added carries the stamp of the re-addition. *)
-
-val atoms_since : t -> int -> Atom.t list
-(** [atoms_since ins g]: the atoms whose birth stamp postdates epoch [g],
-    sorted.  With [g] a previously observed {!generation} of an ancestor
-    of [ins], this is the delta of atoms added (or rewritten by
-    {!apply_subst}) since that ancestor. *)
-
 val cardinal : t -> int
 
 val mem : t -> Atom.t -> bool

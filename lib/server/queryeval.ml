@@ -48,3 +48,40 @@ let constraints_line = function
   | E.Entailed -> ("KB is INCONSISTENT (a constraint body is entailed)", Sev_ok)
   | E.Not_entailed -> ("constraints: consistent", Sev_ok)
   | E.Unknown m -> (Fmt.str "constraints: unknown (%s)" m, Sev_stopped)
+
+(* --- one ENTAIL document ---------------------------------------------- *)
+
+type snapshot = {
+  outcome : Resilience.outcome;
+  final : Atomset.t;
+  indexed : Homo.Instance.t;
+}
+
+let chase_snapshot ~variant ~budget kb =
+  let outcome, final = E.chase_final ~variant ~budget kb in
+  { outcome; final; indexed = Homo.Instance.of_atomset final }
+
+let document_lines ?max_domain ~budget kb snapshot (doc : Dlgp.document) =
+  (* the consistency line first, as printed; the bindings fix the order
+     in which the two chases run *)
+  let constraints =
+    match doc.Dlgp.constraints with
+    | [] -> []
+    | constraints ->
+        [ constraints_line (E.inconsistent ~budget ~constraints kb) ]
+  in
+  let queries =
+    List.map
+      (fun q ->
+        let s = Lazy.force snapshot in
+        if Kb.Query.is_boolean q then
+          verdict_line q
+            (E.decide_in_snapshot ?max_domain ~outcome:s.outcome s.indexed kb q)
+        else
+          answers_line q
+            (E.certain_answers_in_snapshot ~outcome:s.outcome s.final q))
+      doc.Dlgp.queries
+  in
+  let lines = constraints @ queries in
+  ( List.map fst lines,
+    List.fold_left (fun acc (_, s) -> worst acc s) Sev_ok lines )

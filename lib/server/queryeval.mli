@@ -35,3 +35,34 @@ val answers_line : Kb.Query.t -> Corechase.Entailment.answers -> string * severi
 val constraints_line : Corechase.Entailment.verdict -> string * severity
 (** The consistency line printed when the document has negative
     constraints ([Entailed] here means {e inconsistent}). *)
+
+(** {1 One document, one chase} *)
+
+(** What a document's queries are answered from: a chase run's outcome
+    and final element, indexed once. *)
+type snapshot = {
+  outcome : Resilience.outcome;
+  final : Atomset.t;
+  indexed : Homo.Instance.t;
+}
+
+val chase_snapshot :
+  variant:[ `Restricted | `Core ] -> budget:Chase.Variants.budget -> Kb.t ->
+  snapshot
+(** Run the chase once ({!Corechase.Entailment.chase_final}) and index
+    its final element. *)
+
+val document_lines :
+  ?max_domain:int -> budget:Chase.Variants.budget -> Kb.t ->
+  snapshot Lazy.t -> Dlgp.document -> string list * severity
+(** Every result line of an ENTAIL document, in print order, and the
+    worst severity among them: the
+    {!constraints_line} when the document has negative constraints
+    (their own core chase under [budget], countermodel domains up to 4),
+    then one {!verdict_line} / {!answers_line} per query, all decided
+    from the one [snapshot] through
+    {!Corechase.Entailment.decide_in_snapshot} and
+    {!Corechase.Entailment.certain_answers_in_snapshot}.  The snapshot
+    is forced only when the document has queries.  The batch CLI passes
+    a fresh {!chase_snapshot}, the server the snapshot its last CHASE
+    stamped — one evaluation function behind both transports. *)

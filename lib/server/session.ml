@@ -4,7 +4,6 @@
    prove here holds for the socket path minus byte shuffling. *)
 
 open Syntax
-module E = Corechase.Entailment
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 
@@ -19,10 +18,8 @@ type kb_info = {
 type snapshot = {
   variant : Chase.variant;
   budget : Chase.Variants.budget;
-  outcome : Resilience.outcome;
   chase_steps : int;
-  final : Atomset.t;
-  indexed : Homo.Instance.t;
+  view : Queryeval.snapshot;  (** outcome and indexed final instance *)
 }
 
 type session = {
@@ -101,9 +98,9 @@ let snapshot_records t =
                   variant = Chase.variant_name snap.variant;
                   max_steps = snap.budget.Chase.Variants.max_steps;
                   max_atoms = snap.budget.Chase.Variants.max_atoms;
-                  outcome = Resilience.outcome_name snap.outcome;
+                  outcome = Resilience.outcome_name snap.view.outcome;
                   chase_steps = snap.chase_steps;
-                  final = Atomset.to_list snap.final;
+                  final = Atomset.to_list snap.view.final;
                 };
             ]
         | None -> [])
@@ -214,10 +211,13 @@ let exec_chase t ~emit ~session ~variant ~steps ~atoms =
           {
             variant;
             budget;
-            outcome = report.Chase.outcome;
             chase_steps = report.Chase.steps;
-            final = report.Chase.final;
-            indexed = Homo.Instance.of_atomset report.Chase.final;
+            view =
+              {
+                Queryeval.outcome = report.Chase.outcome;
+                final = report.Chase.final;
+                indexed = Homo.Instance.of_atomset report.Chase.final;
+              };
           };
       session_ev "chased" s;
       wal_record t
@@ -269,37 +269,11 @@ let eval_entail (info : kb_info) snap query =
       if qdoc.Dlgp.queries = [] && qdoc.Dlgp.constraints = [] then
         [ err Protocol.Bad_request "no query in ENTAIL body" ]
       else begin
-        let sev = ref Queryeval.Sev_ok in
-        let line (text, s) =
-          sev := Queryeval.worst !sev s;
-          data text
+        let lines, sev =
+          Queryeval.document_lines ~budget:snap.budget info.kb
+            (Lazy.from_val snap.view) qdoc
         in
-        let cframes =
-          match qdoc.Dlgp.constraints with
-          | [] -> []
-          | constraints ->
-              [
-                line
-                  (Queryeval.constraints_line
-                     (E.inconsistent ~budget:snap.budget ~constraints info.kb));
-              ]
-        in
-        let qframes =
-          List.map
-            (fun q ->
-              if Kb.Query.is_boolean q then
-                line
-                  (Queryeval.verdict_line q
-                     (E.decide_in_snapshot ~outcome:snap.outcome snap.indexed
-                        info.kb q))
-              else
-                line
-                  (Queryeval.answers_line q
-                     (E.certain_answers_in_snapshot ~outcome:snap.outcome
-                        snap.final q)))
-            qdoc.Dlgp.queries
-        in
-        cframes @ qframes @ [ ok (Queryeval.severity_name !sev) ]
+        List.map data lines @ [ ok (Queryeval.severity_name sev) ]
       end
 
 let entail_task t ~session ~query =
@@ -366,8 +340,8 @@ let exec_stats t ~emit ~session =
     | None -> "(none)"
     | Some snap ->
         Fmt.str "%s, %d atoms, %d steps (%s)"
-          (Resilience.outcome_name snap.outcome)
-          (Atomset.cardinal snap.final)
+          (Resilience.outcome_name snap.view.outcome)
+          (Atomset.cardinal snap.view.final)
           snap.chase_steps
           (Chase.variant_name snap.variant)
   in
@@ -531,10 +505,13 @@ let restore t records =
                         {
                           variant;
                           budget = { Chase.Variants.max_steps; max_atoms };
-                          outcome;
                           chase_steps;
-                          final = fin;
-                          indexed = Homo.Instance.of_atomset fin;
+                          view =
+                            {
+                              Queryeval.outcome;
+                              final = fin;
+                              indexed = Homo.Instance.of_atomset fin;
+                            };
                         };
                     Ok ())
             | Storage.Record.Sess_gen { session; generation } -> (

@@ -17,7 +17,6 @@ type t =
       max_steps : int;
       max_atoms : int;
       term_counter : int;
-      generation_counter : int;
     }
   | Start of { sigma : Subst.t }
   | Add of {
@@ -33,7 +32,6 @@ type t =
       steps : int;
       snapshot_index : int;  (** -1 encodes "no discovery snapshot yet" *)
       term_counter : int;
-      generation_counter : int;
     }
   | Snap_step of {
       index : int;
@@ -54,13 +52,16 @@ type t =
     }
   | Sess_gen of { session : string; generation : int }
 
+(* Format 2 dropped the instance-epoch counter from [Begin] and
+   [Round] and moved them to fresh tags; the format-1 tags 1 and 6 are
+   retired, so an older log is refused with a structured error. *)
 let tag = function
-  | Begin _ -> 1
+  | Begin _ -> 11
   | Start _ -> 2
   | Add _ -> 3
   | Retract _ -> 4
   | Merge _ -> 5
-  | Round _ -> 6
+  | Round _ -> 12
   | Snap_step _ -> 7
   | Sess_op _ -> 8
   | Sess_chase _ -> 9
@@ -133,15 +134,13 @@ let encode r =
         max_steps;
         max_atoms;
         term_counter;
-        generation_counter;
       } ->
       w_str b engine;
       w_opt_str b kb_path;
       w_opt_str b kb_digest;
       w_int b max_steps;
       w_int b max_atoms;
-      w_int b term_counter;
-      w_int b generation_counter
+      w_int b term_counter
   | Start { sigma } -> w_subst b sigma
   | Add { index; pi_safe; sigma; added } ->
       w_int b index;
@@ -152,13 +151,11 @@ let encode r =
       w_int b index;
       w_subst b sigma
   | Merge { sigma } -> w_subst b sigma
-  | Round { rounds; steps; snapshot_index; term_counter; generation_counter }
-    ->
+  | Round { rounds; steps; snapshot_index; term_counter } ->
       w_int b rounds;
       w_int b steps;
       w_int b snapshot_index;
-      w_int b term_counter;
-      w_int b generation_counter
+      w_int b term_counter
   | Snap_step { index; pi_safe; sigma; pre; inst } ->
       w_int b index;
       w_subst b pi_safe;
@@ -265,24 +262,22 @@ let decode s =
   match
     let v =
       match r_u8 r with
-      | 1 ->
+      | (1 | 6) as t ->
+          raise
+            (Bad
+               (Printf.sprintf
+                  "retired record tag %d: a format-1 log, written before \
+                   the WAL record format 2 (re-run the chase)"
+                  t))
+      | 11 ->
           let engine = r_str r in
           let kb_path = r_opt_str r in
           let kb_digest = r_opt_str r in
           let max_steps = r_int r in
           let max_atoms = r_int r in
           let term_counter = r_int r in
-          let generation_counter = r_int r in
           Begin
-            {
-              engine;
-              kb_path;
-              kb_digest;
-              max_steps;
-              max_atoms;
-              term_counter;
-              generation_counter;
-            }
+            { engine; kb_path; kb_digest; max_steps; max_atoms; term_counter }
       | 2 -> Start { sigma = r_subst r }
       | 3 ->
           let index = r_int r in
@@ -295,13 +290,12 @@ let decode s =
           let sigma = r_subst r in
           Retract { index; sigma }
       | 5 -> Merge { sigma = r_subst r }
-      | 6 ->
+      | 12 ->
           let rounds = r_int r in
           let steps = r_int r in
           let snapshot_index = r_int r in
           let term_counter = r_int r in
-          let generation_counter = r_int r in
-          Round { rounds; steps; snapshot_index; term_counter; generation_counter }
+          Round { rounds; steps; snapshot_index; term_counter }
       | 7 ->
           let index = r_int r in
           let pi_safe = r_subst r in
@@ -346,7 +340,6 @@ let equal a b =
       && Option.equal String.equal a.kb_digest b.kb_digest
       && a.max_steps = b.max_steps && a.max_atoms = b.max_atoms
       && a.term_counter = b.term_counter
-      && a.generation_counter = b.generation_counter
   | Start a, Start b -> Subst.equal a.sigma b.sigma
   | Add a, Add b ->
       a.index = b.index
@@ -359,7 +352,6 @@ let equal a b =
       a.rounds = b.rounds && a.steps = b.steps
       && a.snapshot_index = b.snapshot_index
       && a.term_counter = b.term_counter
-      && a.generation_counter = b.generation_counter
   | Snap_step a, Snap_step b ->
       a.index = b.index
       && Subst.equal a.pi_safe b.pi_safe

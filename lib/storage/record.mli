@@ -6,7 +6,7 @@
     delta: genuinely-new atoms + the step's simplification), [Retract]
     when a round-end simplification replaces the last step's σ, and
     [Round] at every completed-round boundary (the only consistent cuts,
-    carrying the freshness counters to re-pin on resume).  The EGD chase
+    carrying the term-freshness counter to re-pin on resume).  The EGD chase
     journals its unifications as [Merge].  Snapshot files carry
     [Snap_step] — the full Definition-1 step — instead of deltas.  The
     serve daemon journals [Sess_op] (canonical request text of
@@ -28,7 +28,6 @@ type t =
       max_steps : int;
       max_atoms : int;
       term_counter : int;
-      generation_counter : int;
     }
   | Start of { sigma : Subst.t }
   | Add of {
@@ -44,7 +43,6 @@ type t =
       steps : int;
       snapshot_index : int;  (** -1 encodes "no discovery snapshot yet" *)
       term_counter : int;
-      generation_counter : int;
     }
   | Snap_step of {
       index : int;

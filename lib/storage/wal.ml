@@ -438,7 +438,7 @@ let recover t kb =
       Printf.ksprintf (fun m -> raise (Replay (Printf.sprintf "%s: record %d: %s" t.dir i m))) fmt
     in
     let header = ref None in
-    let begin_counters = ref None in
+    let begin_counter = ref None in
     let steps_rev : Chase.Derivation.step list ref = ref [] in
     let boundary = ref None in
     let last_retract = ref false in
@@ -462,7 +462,6 @@ let recover t kb =
                 max_steps;
                 max_atoms;
                 term_counter;
-                generation_counter;
               } ->
               if !header <> None then fail i "duplicate run header";
               if i <> 0 then fail i "run header is not the first record";
@@ -474,7 +473,7 @@ let recover t kb =
                     h_kb_digest = kb_digest;
                     h_budget = { Chase.Variants.max_steps; max_atoms };
                   };
-              begin_counters := Some (term_counter, generation_counter)
+              begin_counter := Some term_counter
           | Record.Start { sigma } ->
               if !steps_rev <> [] then fail i "start record after steps";
               let f = Kb.facts kb in
@@ -539,18 +538,10 @@ let recover t kb =
                     }
                     :: rest
               | _ -> fail i "retract does not target the last step")
-          | Record.Round
-              { rounds; steps; snapshot_index; term_counter; generation_counter }
-            ->
+          | Record.Round { rounds; steps; snapshot_index; term_counter } ->
               if !steps_rev = [] then fail i "round boundary before any step";
               boundary :=
-                Some
-                  ( rounds,
-                    steps,
-                    snapshot_index,
-                    term_counter,
-                    generation_counter,
-                    !steps_rev )
+                Some (rounds, steps, snapshot_index, term_counter, !steps_rev)
           | Record.Merge _ ->
               fail i "merge record (EGD runs are journaled but not resumable)"
           | Record.Sess_op _ | Record.Sess_chase _ | Record.Sess_gen _ ->
@@ -572,20 +563,19 @@ let recover t kb =
                 d_tail_retract = !last_retract;
                 d_rounds =
                   (match !boundary with
-                  | Some (r, _, _, _, _, _) -> r
+                  | Some (r, _, _, _, _) -> r
                   | None -> 0);
                 d_has_start = !steps_rev <> [];
               }
             in
             let state =
               match !boundary with
-              | Some (rounds, steps, snap_index, tc, gc, srev) -> (
+              | Some (rounds, steps, snap_index, tc, srev) -> (
                   match Chase.Derivation.of_steps kb (List.rev srev) with
                   | exception Invalid_argument m ->
                       Error (t.dir ^ ": inconsistent log: " ^ m)
                   | d ->
                       Term.restore_counter_for_resume tc;
-                      Homo.Instance.ensure_generation_counter_at_least gc;
                       Ok
                         (Some
                            {
@@ -598,11 +588,7 @@ let recover t kb =
                                   Some (Chase.Derivation.instance_at d snap_index));
                            }))
               | None ->
-                  (match !begin_counters with
-                  | Some (tc, gc) ->
-                      Term.restore_counter_for_resume tc;
-                      Homo.Instance.ensure_generation_counter_at_least gc
-                  | None -> ());
+                  Option.iter Term.restore_counter_for_resume !begin_counter;
                   Ok None
             in
             let* state = state in
@@ -633,7 +619,6 @@ let begin_record ~engine ?kb_path ?kb_digest ~(budget : Chase.Variants.budget)
       max_steps = budget.Chase.Variants.max_steps;
       max_atoms = budget.Chase.Variants.max_atoms;
       term_counter = Term.counter_value ();
-      generation_counter = Homo.Instance.generation_counter_value ();
     }
 
 let round_record ~(state : Chase.Variants.engine_state) ~snapshot_index =
@@ -643,7 +628,6 @@ let round_record ~(state : Chase.Variants.engine_state) ~snapshot_index =
       steps = state.Chase.Variants.state_steps;
       snapshot_index;
       term_counter = Term.counter_value ();
-      generation_counter = Homo.Instance.generation_counter_value ();
     }
 
 (* A round boundary in snapshot form: the header, one [Snap_step] per

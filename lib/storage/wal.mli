@@ -125,10 +125,11 @@ type recovered = {
 val recover : t -> Syntax.Kb.t -> (recovered, string) result
 (** Replay a chase log to the state of the interrupted run: rebuild
     the derivation step by step, then cut at the last durable [Round]
-    boundary and pin the [Term]/generation counters recorded there (or
-    at the header when no round completed).  The KB must be the run's
-    KB, parsed before this call.  Structured [Error] on an empty log,
-    undecodable or out-of-order records, or session records. *)
+    boundary and pin the [Term] counter recorded there (or at the
+    header when no round completed).  The KB must be the run's KB,
+    parsed before this call.  Structured [Error] on an empty log,
+    undecodable or out-of-order records (a format-1 log's retired
+    [Begin]/[Round] tags among them), or session records. *)
 
 (** {1 The chase-side hook} *)
 

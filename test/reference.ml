@@ -24,7 +24,10 @@
      per-variable one with;
    - [Robust_ref]: the robust aggregations by their definitions, one
      top-down fold per prefix (or per fold index), to compare with the
-     forward recurrence [Corechase.Robust] computes them by. *)
+     forward recurrence [Corechase.Robust] computes them by;
+   - [Entail_ref]: chase-based entailment read off Proposition 1(3)
+     directly, probing {e every} derivation element, to compare with
+     [Corechase.Entailment]'s final-element probes. *)
 
 open Syntax
 
@@ -350,4 +353,91 @@ module Robust_ref = struct
           (List.fold_left
              (fun (bs, ba) (s, a) -> if s < bs then (s, a) else (bs, ba))
              (List.hd scored) scored)
+end
+
+(* Entailment by scanning the whole derivation: [Q] is entailed when it
+   maps into some element F_i, certain answers are the union over every
+   element.  The production entry points probe F_final alone; the
+   verdicts and their Unknown messages must agree byte for byte. *)
+module Entail_ref = struct
+  module E = Corechase.Entailment
+
+  let run ~variant ?budget kb =
+    match variant with
+    | `Restricted -> Chase.Variants.restricted ?budget kb
+    | `Core -> Chase.Variants.core ?budget kb
+
+  (* index each element once; [check] probes it *)
+  let exists_step (r : Chase.Variants.run) check =
+    List.exists
+      (fun st -> check (Homo.Instance.of_atomset st.Chase.Derivation.instance))
+      (Chase.Derivation.steps r.derivation)
+
+  let guard f =
+    try f ()
+    with e -> (
+      match Resilience.outcome_of_exn e with
+      | Some o -> E.Unknown (Resilience.outcome_name o)
+      | None -> raise e)
+
+  let stopped_why o =
+    Fmt.str "chase stopped (%s) without finding the query"
+      (Resilience.outcome_name o)
+
+  let via_chase ?(variant = `Core) ?budget kb q =
+    guard @@ fun () ->
+    let r = run ~variant ?budget kb in
+    if exists_step r (E.holds_in_indexed q) then E.Entailed
+    else if r.outcome = Chase.Variants.Fixpoint then E.Not_entailed
+    else E.Unknown (stopped_why r.outcome)
+
+  let decide ?(variant = `Core) ?budget ?(max_domain = 4) kb q =
+    guard @@ fun () ->
+    match via_chase ~variant ?budget kb q with
+    | (E.Entailed | E.Not_entailed) as v -> v
+    | E.Unknown why1 -> (
+        match E.via_countermodel ~max_domain kb q with
+        | E.Not_entailed -> E.Not_entailed
+        | E.Unknown why2 -> E.Unknown (why1 ^ "; " ^ why2)
+        | E.Entailed -> assert false)
+
+  let certain_answers ?(variant = `Core) ?budget kb q =
+    let avars = Kb.Query.answer_vars q in
+    let r = run ~variant ?budget kb in
+    match
+      List.concat_map
+        (fun st ->
+          Homo.Cq.certain_answers ~answer_vars:avars q
+            st.Chase.Derivation.instance)
+        (Chase.Derivation.steps r.derivation)
+      |> List.sort_uniq (List.compare Term.compare)
+    with
+    | tuples ->
+        if r.outcome = Chase.Variants.Fixpoint then E.Complete tuples
+        else E.Sound tuples
+    | exception e -> (
+        match Resilience.outcome_of_exn e with
+        | Some _ -> E.Sound []
+        | None -> raise e)
+
+  let decide_ucq ?budget ?(max_domain = 4) kb u =
+    guard @@ fun () ->
+    let r = run ~variant:`Core ?budget kb in
+    let disjuncts = Ucq.disjuncts u in
+    if
+      exists_step r (fun idx ->
+          List.exists (fun q -> E.holds_in_indexed q idx) disjuncts)
+    then E.Entailed
+    else if r.outcome = Chase.Variants.Fixpoint then E.Not_entailed
+    else
+      match Modelfinder.find_model_upto ~max_domain ~forbid_all:disjuncts kb with
+      | Some _ -> E.Not_entailed
+      | None -> E.Unknown "chase budget exhausted; no countermodel either"
+
+  (* one [decide] per constraint, each with its own core chase *)
+  let inconsistent ?budget ?(max_domain = 4) ~constraints kb =
+    let vs = List.map (fun c -> decide ?budget ~max_domain kb c) constraints in
+    if List.mem E.Entailed vs then E.Entailed
+    else if List.for_all (( = ) E.Not_entailed) vs then E.Not_entailed
+    else E.Unknown "some constraint checks exhausted their budget"
 end

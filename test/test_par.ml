@@ -4,8 +4,8 @@
        [find_first_map] returns the sequential first success even when a
        later task finishes first, exceptions re-raise lowest-index
        first, nested fan-outs degrade instead of deadlocking;
-   (b) shared atomics — fresh-variable ids and instance generation
-       stamps stay unique when hammered from four raw domains;
+   (b) shared atomics — fresh-variable ids stay unique when hammered
+       from four raw domains;
    (c) differential runs — every engine (oblivious, skolem, restricted,
        frugal, core) on every workload (staircase, elevator, transitive
        closure, random KBs) produces the *identical* derivation under
@@ -143,20 +143,6 @@ let test_fresh_vars_unique_across_domains () =
   in
   Alcotest.(check int) "fresh-variable ids never collide" (5 * per)
     (List.length (List.sort_uniq Term.compare all))
-
-let test_generations_unique_across_domains () =
-  let per = 500 in
-  let a = atom "p" [ Term.const "a" ] and b = atom "q" [ Term.const "b" ] in
-  let mk () =
-    Array.init per (fun _ ->
-        let i = Homo.Instance.add_atoms Homo.Instance.empty [ a ] in
-        let i = Homo.Instance.add_atoms i [ b ] in
-        Homo.Instance.generation i)
-  in
-  let doms = List.init 4 (fun _ -> Domain.spawn mk) in
-  let all = List.concat_map (fun d -> Array.to_list (Domain.join d)) doms in
-  Alcotest.(check int) "generation stamps never collide" (4 * per)
-    (List.length (List.sort_uniq compare all))
 
 (* ------------------------------------------------------------------ *)
 (* (c) differential runs: jobs=4 ≡ jobs=1, byte-for-byte *)
@@ -548,8 +534,6 @@ let suites =
       [
         Alcotest.test_case "fresh vars unique across domains" `Quick
           test_fresh_vars_unique_across_domains;
-        Alcotest.test_case "generation stamps unique across domains" `Quick
-          test_generations_unique_across_domains;
       ] );
     ( "par.differential",
       [

@@ -898,7 +898,6 @@ let gen_record rng : Wr.t =
           max_steps = int_in rng 0 1_000_000;
           max_atoms = int_in rng 0 1_000_000;
           term_counter = int_in rng 0 1_000_000;
-          generation_counter = int_in rng 0 1_000_000;
         }
   | 1 -> Wr.Start { sigma = gen_wal_subst rng }
   | 2 ->
@@ -918,7 +917,6 @@ let gen_record rng : Wr.t =
           steps = int_in rng 0 10_000;
           snapshot_index = int_in rng (-1) 100;
           term_counter = int_in rng 0 1_000_000;
-          generation_counter = int_in rng 0 1_000_000;
         }
   | 6 ->
       Wr.Snap_step

@@ -400,11 +400,7 @@ let differential ~spec r (wname, build) =
         r.erun ~budget:diff_budget
           ~journal:(function
             | Chase.Variants.J_round { state; _ } ->
-                last :=
-                  Some
-                    ( state,
-                      Term.counter_value (),
-                      Homo.Instance.generation_counter_value () )
+                last := Some (state, Term.counter_value ())
             | _ -> ())
           kb2)
   in
@@ -415,9 +411,8 @@ let differential ~spec r (wname, build) =
   let kb3 = build () in
   match !last with
   | None -> Alcotest.fail (label ^ ": no round completed before the kill")
-  | Some (state, tc, gc) ->
+  | Some (state, tc) ->
       Term.restore_counter_for_resume tc;
-      Homo.Instance.ensure_generation_counter_at_least gc;
       let resumed = r.erun ~budget:diff_budget ~resume:state kb3 in
       same_run label reference resumed
 

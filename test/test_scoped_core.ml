@@ -4,8 +4,9 @@
        property are folded, deltas that keep it are certified, and the
        documented regression instance (an old atom mapping onto a new
        ground delta atom, no fresh null involved) is caught;
-   (b) generation stamps — content changes bump the epoch, no-ops do
-       not, birth stamps track exactly the live atoms;
+   (b) [apply_subst] — a non-idempotent substitution keeps every
+       rewritten atom (the suite keeps its historical name,
+       [scoped_core.generations]);
    (c) differential runs — after core chases on staircase/elevator
        prefixes and random KBs, every step's (or, per-round cadence,
        every round's) delta-scoped retraction is recomputed next to the
@@ -120,43 +121,7 @@ let test_scoped_agrees_with_full_on_random_deltas () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* (b) generation stamps *)
-
-let test_generation_monotone () =
-  let g0 = Homo.Instance.generation Homo.Instance.empty in
-  Alcotest.(check int) "empty is epoch 0" 0 g0;
-  let a1 = atom "p" [ Term.const "a" ] in
-  let i1 = Homo.Instance.add_atoms Homo.Instance.empty [ a1 ] in
-  Alcotest.(check bool) "add bumps" true (Homo.Instance.generation i1 > g0);
-  let i2 = Homo.Instance.add_atoms i1 [ a1 ] in
-  Alcotest.(check int) "re-add is a no-op" (Homo.Instance.generation i1)
-    (Homo.Instance.generation i2);
-  let i3 = Homo.Instance.remove_atoms i2 [ a1 ] in
-  Alcotest.(check bool) "remove bumps" true
-    (Homo.Instance.generation i3 > Homo.Instance.generation i2);
-  let i4 = Homo.Instance.remove_atoms i3 [ a1 ] in
-  Alcotest.(check int) "re-remove is a no-op" (Homo.Instance.generation i3)
-    (Homo.Instance.generation i4);
-  let i5 = Homo.Instance.apply_subst Subst.empty i3 in
-  Alcotest.(check int) "empty subst is a no-op" (Homo.Instance.generation i3)
-    (Homo.Instance.generation i5)
-
-let test_born_and_atoms_since () =
-  let a1 = atom "p" [ Term.const "a" ] and a2 = atom "p" [ Term.const "b" ] in
-  let i1 = Homo.Instance.add_atoms Homo.Instance.empty [ a1 ] in
-  let g1 = Homo.Instance.generation i1 in
-  let i2 = Homo.Instance.add_atoms i1 [ a2 ] in
-  (match Homo.Instance.born i2 a1 with
-  | Some s -> Alcotest.(check int) "a1 born at g1" g1 s
-  | None -> Alcotest.fail "a1 has no birth stamp");
-  Alcotest.(check bool) "a2 born after g1" true
-    (match Homo.Instance.born i2 a2 with Some s -> s > g1 | None -> false);
-  Alcotest.(check (list string)) "atoms_since g1 = [a2]"
-    [ Fmt.str "%a" Atom.pp a2 ]
-    (List.map (Fmt.str "%a" Atom.pp) (Homo.Instance.atoms_since i2 g1));
-  Alcotest.(check int) "atoms_since 0 sees both" 2
-    (List.length (Homo.Instance.atoms_since i2 0));
-  Alcotest.(check bool) "invariants" true (Homo.Instance.invariants_ok i2)
+(* (b) apply_subst *)
 
 let test_apply_subst_swaps_content () =
   (* a non-idempotent substitution swapping a 2-cycle must preserve both
@@ -275,10 +240,6 @@ let suites =
       ] );
     ( "scoped_core.generations",
       [
-        Alcotest.test_case "epoch bumps on change only" `Quick
-          test_generation_monotone;
-        Alcotest.test_case "birth stamps and atoms_since" `Quick
-          test_born_and_atoms_since;
         Alcotest.test_case "apply_subst handles swaps" `Quick
           test_apply_subst_swaps_content;
       ] );

@@ -12,7 +12,6 @@ open Syntax
 module P = Server.Protocol
 module L = Server.Loopback
 module Q = Server.Queryeval
-module E = Corechase.Entailment
 
 let tc name f = Alcotest.test_case name `Quick f
 let fr kind payload = { P.kind; payload }
@@ -565,7 +564,10 @@ let raw_shutdown_says_bye () =
 let budget = { Chase.Variants.max_steps = 100; max_atoms = 20_000 }
 
 (* what the batch CLI prints for this ENTAIL body: same renderer
-   (Queryeval), fresh end-to-end evaluation instead of a snapshot *)
+   (Queryeval), but evaluated by the every-element reference scan
+   ([Reference.Entail_ref]), not by the snapshot functions the session
+   and the CLI share — otherwise the law would compare one function
+   with itself *)
 let batch_lines ~variant kb qtext =
   match Dlgp.parse_string qtext with
   | Error e -> Alcotest.failf "query fixture: %a" Dlgp.pp_error e
@@ -576,16 +578,21 @@ let batch_lines ~variant kb qtext =
         | constraints ->
             [
               fst
-                (Q.constraints_line (E.inconsistent ~budget ~constraints kb));
+                (Q.constraints_line
+                   (Reference.Entail_ref.inconsistent ~budget ~constraints kb));
             ]
       in
       cl
       @ List.map
           (fun q ->
             if Kb.Query.is_boolean q then
-              fst (Q.verdict_line q (E.decide ~variant ~budget kb q))
+              fst
+                (Q.verdict_line q
+                   (Reference.Entail_ref.decide ~variant ~budget kb q))
             else
-              fst (Q.answers_line q (E.certain_answers ~variant ~budget kb q)))
+              fst
+                (Q.answers_line q
+                   (Reference.Entail_ref.certain_answers ~variant ~budget kb q)))
           qdoc.Dlgp.queries
 
 let differential_queries =

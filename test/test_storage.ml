@@ -97,7 +97,6 @@ let sample_records () =
         max_steps = 40;
         max_atoms = 5_000;
         term_counter = Term.counter_value ();
-        generation_counter = Homo.Instance.generation_counter_value ();
       };
     R.Begin
       {
@@ -107,7 +106,6 @@ let sample_records () =
         max_steps = 0;
         max_atoms = 0;
         term_counter = 0;
-        generation_counter = 0;
       };
     R.Start { sigma = Subst.empty };
     R.Add
@@ -125,7 +123,6 @@ let sample_records () =
         steps = 7;
         snapshot_index = -1;
         term_counter = 123;
-        generation_counter = 45;
       };
     R.Snap_step
       {
@@ -680,6 +677,36 @@ let test_recover_errors () =
     || contains ~sub:"header" m2);
   W.close w
 
+(* A log written before record format 2: its [Begin] still carries the
+   retired instance-epoch counter under tag 1.  Opening succeeds (the
+   frames are intact); reading the header and recovering are refused
+   with a structured error that names the format. *)
+let test_format1_log_refused () =
+  with_dir @@ fun dir ->
+  let b = Buffer.create 64 in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  Buffer.add_uint8 b 1;
+  int 4;
+  Buffer.add_string b "core";
+  Buffer.add_uint8 b 0;
+  Buffer.add_uint8 b 0;
+  List.iter int [ 40; 5_000; 17; 99 ];
+  let x =
+    X.create_writer ~magic:X.wal_magic
+      (Filename.concat dir (Printf.sprintf "wal-%016d.xlog" 1))
+  in
+  X.append x ~lsn:1 (Buffer.contents b);
+  X.close_writer x;
+  let w = ok "open format-1 log" (W.open_dir dir) in
+  let names_format m =
+    Alcotest.(check bool) ("names the format: " ^ m) true
+      (contains ~sub:"format-1" m)
+  in
+  names_format (expect_error "peek header" (W.peek_header w));
+  names_format
+    (expect_error "recover" (W.recover w (Kb.of_lists ~facts:[] ~rules:[])));
+  W.close w
+
 let test_wal_metrics () =
   Obs.Metrics.reset ();
   Obs.Metrics.enabled := true;
@@ -832,6 +859,7 @@ let suites =
         tc "kill at every frame boundary" test_boundary_sweep;
         tc "resume through a snapshot" test_resume_through_snapshot;
         tc "recover error taxonomy" test_recover_errors;
+        tc "format-1 log refused" test_format1_log_refused;
       ] );
     ( "storage.serve",
       [
