@@ -44,7 +44,8 @@ let () =
       let report = Chase.run ~budget variant kb in
       Fmt.pr "%-10s %-12s %3d steps, final instance: %d atoms@."
         (Chase.variant_name variant)
-        (if report.Chase.terminated then "terminated" else "budget")
+        (if Resilience.terminated report.Chase.outcome then "terminated"
+         else "budget")
         report.Chase.steps
         (Atomset.cardinal report.Chase.final))
     [ Chase.Oblivious; Chase.Skolem; Chase.Restricted; Chase.Frugal; Chase.Core ];

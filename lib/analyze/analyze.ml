@@ -126,9 +126,12 @@ let analyze ?(budget = default_budget) kb =
       Chase.Variants.Baseline.skolem ~budget (Kb.make ~facts:critical ~rules)
     in
     Obs.Metrics.incr (Lazy.force m_probes);
+    let fixpoint =
+      Resilience.terminated skolem.Chase.Variants.Baseline.outcome
+    in
     crit "critical:skolem-fixpoint" Universal ~contributes:Terminates_all
-      skolem.Chase.Variants.Baseline.terminated
-      (if skolem.Chase.Variants.Baseline.terminated then
+      fixpoint
+      (if fixpoint then
          Printf.sprintf "skolem chase fixpoint on the critical instance (%d steps)"
            skolem.Chase.Variants.Baseline.steps
        else

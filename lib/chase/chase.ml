@@ -21,7 +21,6 @@ let variant_name = function
 
 type report = {
   variant : variant;
-  terminated : bool;  (** [outcome = Fixpoint]; kept for existing callers *)
   outcome : Resilience.outcome;  (** why the run stopped (DESIGN.md §11) *)
   steps : int;  (** rule applications performed *)
   final : Atomset.t;  (** last instance computed *)
@@ -39,7 +38,6 @@ let run ?budget ?token ?resume ?journal variant kb =
   let of_baseline (t : Variants.Baseline.trace) =
     {
       variant;
-      terminated = t.Variants.Baseline.terminated;
       outcome = t.Variants.Baseline.outcome;
       steps = t.Variants.Baseline.steps;
       final =
@@ -52,7 +50,6 @@ let run ?budget ?token ?resume ?journal variant kb =
     let d = r.Variants.derivation in
     {
       variant;
-      terminated = r.Variants.outcome = Variants.Fixpoint;
       outcome = r.Variants.outcome;
       steps = Derivation.length d - 1;
       final = (Derivation.last d).Derivation.instance;
@@ -108,7 +105,6 @@ let run_engine ?budget ?token choice kb =
       let final = Datalog.saturate (Kb.rules kb) facts in
       {
         variant = Restricted;
-        terminated = true;
         outcome = Resilience.Fixpoint;
         steps = Atomset.cardinal final - Atomset.cardinal facts;
         final;

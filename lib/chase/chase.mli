@@ -22,7 +22,6 @@ val variant_name : variant -> string
 
 type report = {
   variant : variant;
-  terminated : bool;  (** [outcome = Fixpoint]; kept for existing callers *)
   outcome : Resilience.outcome;
       (** why the run stopped: fixpoint, a specific budget, the
           wall-clock deadline, caught resource exhaustion, or

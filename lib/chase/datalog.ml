@@ -8,45 +8,29 @@ let check_datalog rules =
           ("Datalog: rule has existential variables: " ^ Rule.name r))
     rules
 
-(* all head atoms derivable from homomorphisms extending [seed] *)
-let derive_with indexed r seed =
-  List.concat_map
-    (fun h ->
-      Atomset.to_list (Subst.apply h (Rule.head r)))
-    (Homo.Hom.all ~seed (Rule.body r) indexed)
-
-let seminaive_round rules inst delta =
-  let indexed = Homo.Instance.of_atomset inst in
-  List.fold_left
-    (fun acc r ->
-      let body_atoms = Atomset.to_list (Rule.body r) in
-      (* for each body position, anchor it on a delta atom *)
-      List.fold_left
-        (fun acc anchor ->
-          Atomset.fold
-            (fun datom acc ->
-              match Homo.Hom.extend_via_atom Subst.empty anchor datom with
-              | None -> acc
-              | Some seed ->
-                  List.fold_left
-                    (fun acc at ->
-                      if Atomset.mem at inst then acc else Atomset.add at acc)
-                    acc
-                    (derive_with indexed r seed))
-            delta acc)
-        acc body_atoms)
-    Atomset.empty rules
-
+(* One index, patched with each round's new atoms; the next round's
+   triggers are those anchored on them (full enumeration on the first
+   round).  A datalog trigger's head image needs no fresh nulls. *)
 let rounds rules facts =
   check_datalog rules;
-  let rec go inst delta acc =
-    let fresh = seminaive_round rules inst delta in
+  let rec go idx delta acc =
+    let fresh =
+      List.fold_left
+        (fun acc tr ->
+          Atomset.fold
+            (fun a acc ->
+              if Homo.Instance.mem idx a then acc else Atomset.add a acc)
+            (Subst.apply (Trigger.mapping tr) (Rule.head (Trigger.rule tr)))
+            acc)
+        Atomset.empty
+        (Trigger.discover_all ?delta rules idx)
+    in
     if Atomset.is_empty fresh then List.rev acc
     else
-      let inst' = Atomset.union inst fresh in
-      go inst' fresh (inst' :: acc)
+      let idx = Homo.Instance.add_atoms idx (Atomset.to_list fresh) in
+      go idx (Some fresh) (Homo.Instance.atomset idx :: acc)
   in
-  go facts facts [ facts ]
+  go (Homo.Instance.of_atomset facts) None [ facts ]
 
 let saturate rules facts =
   match List.rev (rounds rules facts) with

@@ -1,11 +1,11 @@
 (** Datalog saturation: the existential-free fragment, where the chase is
     plain fixpoint evaluation.
 
-    Classical semi-naive (delta-driven) evaluation: each round only
-    matches rule bodies that use at least one atom derived in the
-    previous round (one seeded homomorphism search per (rule, body
-    position, delta atom)).  The result is the unique minimal model of
-    the datalog program over the facts. *)
+    Classical semi-naive (delta-driven) evaluation over one
+    incrementally patched index: each round only matches rule bodies
+    that use at least one atom derived in the previous round
+    ({!Trigger.discover_all} with that delta).  The result is the unique
+    minimal model of the datalog program over the facts. *)
 
 open Syntax
 

@@ -194,13 +194,6 @@ let natural_aggregation d =
     (fun acc st -> Atomset.union acc st.instance)
     Atomset.empty d.rev_steps
 
-let terminated d =
-  Trigger.unsatisfied_triggers_in (Kb.rules d.kb)
-    (Homo.Instance.of_atomset (last d).instance)
-  = []
-
-let result d = if terminated d then Some (last d).instance else None
-
 let fairness_debt d =
   (* index every element once up front; the check below revisits each
      F_j for every unsatisfied trigger of every F_i *)

@@ -88,14 +88,6 @@ val sigma_trace : t -> from_:int -> to_:int -> Subst.t
 val natural_aggregation : t -> Atomset.t
 (** [D* = ⋃_i F_i] over the prefix (Section 3). *)
 
-val terminated : t -> bool
-(** No unsatisfied trigger exists for the last instance: the derivation
-    has reached a fixpoint, and the last instance is a (finite) universal
-    model of the KB (Proposition 1). *)
-
-val result : t -> Atomset.t option
-(** [Some (last instance)] when {!terminated}. *)
-
 val fairness_debt : t -> (int * Trigger.t) list
 (** Finite-prefix fairness check (Definition 3): the pairs [(i, tr)] such
     that [tr] is a trigger for [F_i] whose trace [σ̄_i^j(tr)] is satisfied

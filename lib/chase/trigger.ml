@@ -15,20 +15,6 @@ let m_discoveries = Obs.Metrics.counter "chase.discoveries"
    only (pool workers' shares are part of their own samples). *)
 let m_minor_words = Obs.Metrics.counter "trigger.minor_words"
 
-(* Mapping keys (DESIGN.md §12): a substitution flattened to interned
-   codes, [(rank, code)] pairs in rank order ([Subst.to_list] is sorted).
-   Injective per mapping, so the per-rule dedup table below hashes a few
-   ints instead of rendering the substitution. *)
-let mapping_key mapping =
-  let bindings = Subst.to_list mapping in
-  let key = Array.make (2 * List.length bindings) 0 in
-  List.iteri
-    (fun i (x, t) ->
-      key.(2 * i) <- Flat.code_of_term x;
-      key.((2 * i) + 1) <- Flat.code_of_term t)
-    bindings;
-  key
-
 type t = { rule : Rule.t; mapping : Subst.t }
 
 let make rule mapping =
@@ -126,41 +112,45 @@ let triggers_of r indexed =
 (* Semi-naive discovery: every trigger for the current instance that was
    not a trigger at the previous snapshot must map some body atom onto an
    atom of [delta] (the atoms added or rewritten since), so it suffices to
-   enumerate the body homomorphisms anchored on a delta atom.  The same
-   homomorphism can be reached through several anchors; mappings are
-   deduplicated per rule. *)
+   enumerate the body homomorphisms anchored on a delta atom.  A
+   homomorphism mapping several body atoms into [delta] is reached from
+   each of those anchors; it is kept only at the first of them in body
+   order, which is where the enumeration meets it first, so the result
+   lists each trigger once, in first-reached order. *)
 let triggers_of_delta r indexed ~delta =
   if Atomset.is_empty delta then []
   else
     let body = Rule.body r in
-    let seen = Hashtbl.create 16 in
-    let collect acc h =
-      let tr = make r h in
-      let key = mapping_key tr.mapping in
-      if Hashtbl.mem seen key then acc
-      else begin
-        Hashtbl.replace seen key ();
-        tr :: acc
-      end
-    in
-    let trs =
+    let _, trs =
       Atomset.fold
-        (fun anchor acc ->
-          Atomset.fold
-            (fun datom acc ->
-              if
-                String.equal (Atom.pred anchor) (Atom.pred datom)
-                && Atom.arity anchor = Atom.arity datom
-              then
-                match Homo.Hom.extend_via_atom Subst.empty anchor datom with
-                | None -> acc
-                | Some seed ->
-                    List.fold_left collect acc (Homo.Hom.all ~seed body indexed)
-              else acc)
-            delta acc)
-        body []
-      |> List.rev
+        (fun anchor (earlier, acc) ->
+          let first h =
+            not
+              (List.exists
+                 (fun b -> Atomset.mem (Subst.apply_atom h b) delta)
+                 earlier)
+          in
+          let acc =
+            Atomset.fold
+              (fun datom acc ->
+                if
+                  String.equal (Atom.pred anchor) (Atom.pred datom)
+                  && Atom.arity anchor = Atom.arity datom
+                then
+                  match Homo.Hom.extend_via_atom Subst.empty anchor datom with
+                  | None -> acc
+                  | Some seed ->
+                      List.fold_left
+                        (fun acc h -> if first h then make r h :: acc else acc)
+                        acc
+                        (Homo.Hom.all ~seed body indexed)
+                else acc)
+              delta acc
+          in
+          (anchor :: earlier, acc))
+        body ([], [])
     in
+    let trs = List.rev trs in
     if !Obs.Metrics.enabled then Obs.Metrics.add m_enumerated (List.length trs);
     trs
 

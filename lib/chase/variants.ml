@@ -115,17 +115,95 @@ type journal = journal_event -> unit
    delta-driven (semi-naive): each round only looks for triggers anchored
    in the atoms added or rewritten since the previous round's snapshot
    (see Trigger.discover; full re-enumeration is what the tests check
-   each round against). *)
+   each round against).  Every engine opens its rounds with
+   [next_round]; the Definition-1 engines fire with [fire], the EGD
+   chase with its index half [patch] (DESIGN.md §7). *)
 
-(* Round-based engine: [simplify] computes σ_i for a freshly produced
-   pre-instance (receiving it also in indexed form, plus [added] — the
-   produced atoms genuinely new in the instance — so core simplifiers can
-   fold delta-scoped, see Homo.Core.scope); [round_end] post-processes
-   the derivation when a round (one sweep over the snapshot of active
-   triggers) completes, receiving the engine's index and the round's
-   accumulated delta, and returning the substitution it applied to the
-   last instance so the engine can patch its index. *)
-let run_engine ?(engine = "chase")
+(* One round's discovery: snapshot the instance and find the triggers
+   anchored in what changed since [prev], the previous round's snapshot
+   (all triggers on the first round).  Returns the new snapshot. *)
+let next_round
+    (discover :
+      ?delta:Atomset.t -> Rule.t list -> Homo.Instance.t -> Trigger.t list)
+    rules prev idx =
+  let current = Homo.Instance.atomset idx in
+  let delta = Option.map (fun old -> Atomset.diff current old) prev in
+  (current, discover ?delta rules idx)
+
+(* A simplification [simplify pre_idx ~added app] computes σ_i for the
+   pre-instance of [app], received in indexed form plus [added] (the
+   produced atoms genuinely new in the instance), so core simplifiers
+   can fold delta-scoped (see Homo.Core.scope). *)
+let no_simplification _ ~added:_ _ = Subst.empty
+
+(* Delta-scoped core maintenance (DESIGN.md §9) is sound once the
+   instance before the delta is a core; [invariant] records that, and
+   every retraction to a core re-establishes it. *)
+let core_scope invariant ~fresh ~added =
+  let scope =
+    if !invariant then Homo.Core.Delta { fresh; added } else Homo.Core.Full
+  in
+  invariant := true;
+  scope
+
+let core_simplification invariant pre_idx ~added (app : Trigger.application)
+    =
+  Homo.Core.retraction_to_core_indexed
+    ~scope:(core_scope invariant ~fresh:app.Trigger.fresh ~added)
+    pre_idx
+
+(* Patch the index with one application: add the genuinely new atoms of
+   the firing (produced may re-derive existing ones), simplify, apply σ.
+   Returns [(added, pre_idx, σ, idx')]. *)
+let patch ~simplify idx (app : Trigger.application) =
+  let added =
+    List.filter
+      (fun a -> not (Homo.Instance.mem idx a))
+      (Atomset.to_list app.Trigger.produced)
+  in
+  let pre_idx = Homo.Instance.add_atoms idx added in
+  let sigma = simplify pre_idx ~added app in
+  (added, pre_idx, sigma, Homo.Instance.apply_subst sigma pre_idx)
+
+(* The firing step of the Definition-1 engines.  [tr] was discovered on
+   the instance at derivation index [base]: rename it through the
+   σ-trace since, and fire it only if it is still an active trigger
+   (an earlier application of the round may have satisfied it).  [hit]
+   runs just before the application.  Returns the successor derivation
+   and index with the application, its new atoms and σ, or [None]. *)
+let fire ~engine ~simplify ~hit ~base d idx tr =
+  let trace =
+    Derivation.sigma_trace d ~from_:base
+      ~to_:(Derivation.last d).Derivation.index
+  in
+  let tr = Trigger.rename trace tr in
+  if Trigger.is_trigger_for_in tr idx && not (Trigger.satisfied_in tr idx)
+  then begin
+    hit ();
+    let app = Trigger.apply_in tr idx in
+    let added, pre_idx, sigma, idx' = patch ~simplify idx app in
+    let d' =
+      Derivation.extend_applied ~validate:false d tr app ~simplification:sigma
+    in
+    if Obs.live () then begin
+      let step = (Derivation.last d').Derivation.index in
+      obs_applied ~engine ~step ~rule:(Trigger.rule tr)
+        ~produced:(Atomset.cardinal app.Trigger.produced)
+        idx';
+      if not (Subst.is_empty sigma) then
+        obs_retract ~engine ~step ~before:(Homo.Instance.cardinal pre_idx) idx'
+    end;
+    Some (d', idx', app, added, sigma)
+  end
+  else None
+
+(* Round-based engine: [simplify] computes σ_i for each application;
+   [round_end] post-processes the derivation when a round (one sweep
+   over the snapshot of active triggers) completes, receiving the
+   engine's index and the round's accumulated delta, and returning the
+   substitution it applied to the last instance so the engine can patch
+   its index. *)
+let run_engine ~engine
     ?(round_end = fun d ~idx:_ ~fresh:_ ~added:_ -> (d, Subst.empty)) ?token
     ?resume ?journal ~budget ~simplify ~start_simplification kb =
   let emit_journal ev =
@@ -153,6 +231,10 @@ let run_engine ?(engine = "chase")
   | _ -> ());
   let outcome = ref None in
   let rules = Kb.rules kb in
+  let hit () =
+    Resilience.poll ();
+    Resilience.Fault.hit "step"
+  in
   (* The loop body commits [d]/[idx] pairwise only after both successor
      values exist, so an exception anywhere leaves the pair consistent:
      the boundary handler below then reports the last consistent instance
@@ -176,113 +258,59 @@ let run_engine ?(engine = "chase")
        if Homo.Instance.cardinal !idx > budget.max_atoms then
          outcome := Some Atom_budget
        else begin
-         let current = Homo.Instance.atomset !idx in
-         let delta =
-           Option.map (fun old -> Atomset.diff current old) !prev_snapshot
+         let current, active =
+           next_round Trigger.discover rules !prev_snapshot !idx
          in
-         let active = Trigger.discover ?delta rules !idx in
          prev_snapshot := Some current;
          if active = [] then outcome := Some Fixpoint
          else begin
            incr rounds;
            if Obs.live () then obs_round_start ~engine ~round:!rounds !idx;
-           (* apply the snapshot, re-checking satisfaction before each
-              firing (the trace of the trigger, for non-monotone
-              simplifications) *)
-           let base_index = Derivation.length !d - 1 in
+           let base = Derivation.length !d - 1 in
            (* the round's accumulated delta, handed to [round_end] *)
            let round_fresh = ref [] in
            let round_added = ref [] in
            List.iter
              (fun tr ->
-               match !outcome with
-               | Some _ -> ()
-               | None ->
-                   if !steps_done >= budget.max_steps then
-                     outcome := Some Step_budget
-                   else begin
-                     let last = Derivation.last !d in
-                     let trace =
-                       Derivation.sigma_trace !d ~from_:base_index
-                         ~to_:last.Derivation.index
-                     in
-                     let tr' = Trigger.rename trace tr in
-                     if
-                       Trigger.is_trigger_for_in tr' !idx
-                       && not (Trigger.satisfied_in tr' !idx)
-                     then begin
-                       Resilience.poll ();
-                       Resilience.Fault.hit "step";
-                       let app = Trigger.apply_in tr' !idx in
-                       (* the genuinely new atoms of this firing (produced
-                          may re-derive existing ones): the step's delta *)
-                       let added =
-                         List.filter
-                           (fun a -> not (Homo.Instance.mem !idx a))
-                           (Atomset.to_list app.Trigger.produced)
-                       in
-                       let pre_idx = Homo.Instance.add_atoms !idx added in
-                       let sigma = simplify pre_idx ~added app in
-                       let d' =
-                         Derivation.extend_applied ~validate:false !d tr' app
-                           ~simplification:sigma
-                       in
-                       let idx2 = Homo.Instance.apply_subst sigma pre_idx in
+               if !outcome = None then
+                 if !steps_done >= budget.max_steps then
+                   outcome := Some Step_budget
+                 else
+                   match fire ~engine ~simplify ~hit ~base !d !idx tr with
+                   | None -> ()
+                   | Some (d', idx', app, added, sigma) ->
                        d := d';
-                       idx := idx2;
+                       idx := idx';
                        round_fresh := app.Trigger.fresh :: !round_fresh;
                        round_added := added :: !round_added;
                        incr steps_done;
-                       (if journal <> None then
-                          let last = Derivation.last !d in
-                          emit_journal
-                            (J_step
-                               {
-                                 index = last.Derivation.index;
-                                 pi_safe = last.Derivation.pi_safe;
-                                 sigma;
-                                 added;
-                               }));
-                       if Obs.live () then begin
-                         let stepi = (Derivation.last !d).Derivation.index in
-                         obs_applied ~engine ~step:stepi
-                           ~rule:(Trigger.rule tr')
-                           ~produced:(Atomset.cardinal app.Trigger.produced)
-                           !idx;
-                         if not (Subst.is_empty sigma) then
-                           obs_retract ~engine ~step:stepi
-                             ~before:(Homo.Instance.cardinal pre_idx)
-                             !idx
-                       end;
-                       if Homo.Instance.cardinal !idx > budget.max_atoms then
-                         outcome := Some Atom_budget
-                     end
-                   end)
+                       emit_journal
+                         (J_step
+                            {
+                              index = (Derivation.last d').Derivation.index;
+                              pi_safe = app.Trigger.pi_safe;
+                              sigma;
+                              added;
+                            });
+                       if Homo.Instance.cardinal idx' > budget.max_atoms then
+                         outcome := Some Atom_budget)
              active;
            (* round completed: let the variant post-process (e.g. retract
               the round's last application to a core) *)
-           if Derivation.length !d - 1 > base_index then begin
+           if Derivation.length !d - 1 > base then begin
              let d', extra =
                round_end !d ~idx:!idx
                  ~fresh:(List.concat (List.rev !round_fresh))
                  ~added:(List.concat (List.rev !round_added))
              in
-             if Subst.is_empty extra then d := d'
-             else begin
-               let before = Homo.Instance.cardinal !idx in
-               let idx2 = Homo.Instance.apply_subst extra !idx in
-               d := d';
-               idx := idx2;
-               emit_journal
-                 (J_round_sigma
-                    {
-                      index = (Derivation.last !d).Derivation.index;
-                      sigma = extra;
-                    });
-               if Obs.live () then
-                 obs_retract ~engine
-                   ~step:(Derivation.last !d).Derivation.index
-                   ~before !idx
+             let before = Homo.Instance.cardinal !idx in
+             let idx' = Homo.Instance.apply_subst extra !idx in
+             d := d';
+             idx := idx';
+             if not (Subst.is_empty extra) then begin
+               let index = (Derivation.last d').Derivation.index in
+               emit_journal (J_round_sigma { index; sigma = extra });
+               if Obs.live () then obs_retract ~engine ~step:index ~before idx'
              end
            end;
            (* A completed round is the only consistent cut this loop
@@ -300,7 +328,7 @@ let run_engine ?(engine = "chase")
                         state_rounds = !rounds;
                         state_snapshot = !prev_snapshot;
                       };
-                    snapshot_index = base_index;
+                    snapshot_index = base;
                   })
          end
        end
@@ -319,8 +347,7 @@ let run_engine ?(engine = "chase")
 
 let restricted ?(budget = default_budget) ?token ?resume ?journal kb =
   run_engine ~engine:"restricted" ~budget ?token ?resume ?journal
-    ~simplify:(fun _ ~added:_ _ -> Subst.empty)
-    ~start_simplification:None kb
+    ~simplify:no_simplification ~start_simplification:None kb
 
 let core ?(budget = default_budget) ?(cadence = Every_application)
     ?(simplify_start = true) ?token ?resume ?journal kb =
@@ -352,14 +379,7 @@ let core ?(budget = default_budget) ?(cadence = Every_application)
   match cadence with
   | Every_application ->
       run_engine ~engine:"core" ~budget ?token ?resume ?journal
-        ~simplify:(fun pre_idx ~added app ->
-          let scope =
-            if !invariant then
-              Homo.Core.Delta { fresh = app.Trigger.fresh; added }
-            else Homo.Core.Full
-          in
-          invariant := true;
-          Homo.Core.retraction_to_core_indexed ~scope pre_idx)
+        ~simplify:(core_simplification invariant)
         ~start_simplification kb
   | Every_round ->
       (* Restricted steps within a round; the round's last application is
@@ -371,14 +391,13 @@ let core ?(budget = default_budget) ?(cadence = Every_application)
          the round-end pre-instance, so it is folded in place with the
          round's whole delta as scope. *)
       run_engine ~engine:"core-round" ~budget ?token ?resume ?journal
-        ~simplify:(fun _ ~added:_ _ -> Subst.empty)
+        ~simplify:no_simplification
         ~round_end:(fun d ~idx ~fresh ~added ->
-          let scope =
-            if !invariant then Homo.Core.Delta { fresh; added }
-            else Homo.Core.Full
+          let r =
+            Homo.Core.retraction_to_core_indexed
+              ~scope:(core_scope invariant ~fresh ~added)
+              idx
           in
-          invariant := true;
-          let r = Homo.Core.retraction_to_core_indexed ~scope idx in
           (Derivation.replace_last_simplification ~validate:false d r, r))
         ~start_simplification kb)
 
@@ -444,79 +463,36 @@ let frugal ?(budget = default_budget) ?token ?resume ?journal kb =
     ~simplify:frugal_simplification ~start_simplification:None kb
 
 let stream ~variant kb =
+  let engine = "stream" and rules = Kb.rules kb in
   let simplify =
     match variant with
-    | `Restricted -> fun _ ~added:_ _ -> Subst.empty
-    | `Core ->
-        (* the stream's start instance is always simplified to a core
-           (see [d0] below), so the delta precondition holds from the
-           first application on *)
-        fun pre_idx ~added (app : Trigger.application) ->
-          Homo.Core.retraction_to_core_indexed
-            ~scope:(Homo.Core.Delta { fresh = app.Trigger.fresh; added })
-            pre_idx
+    | `Restricted -> no_simplification
+    (* the stream's start instance is always simplified to a core (see
+       [d0] below), so the delta precondition holds from the start *)
+    | `Core -> core_simplification (ref true)
     | `Frugal -> frugal_simplification
   in
   (* state: current derivation + its incrementally maintained index + the
-     atomset at the last trigger discovery + the queue of (traced-from,
-     trigger) pairs left over from the current round's snapshot *)
-  let rec next (d, idx, prev_snapshot, queue) () =
+     atomset at the last trigger discovery + the round number + the
+     derivation index the round's triggers were discovered at + the
+     triggers left over from the round's snapshot *)
+  let rec next (d, idx, prev, round, base, queue) () =
     Resilience.poll ();
     match queue with
-    | (base_index, tr) :: rest -> (
-        let last = Derivation.last d in
-        let trace =
-          Derivation.sigma_trace d ~from_:base_index ~to_:last.Derivation.index
-        in
-        let tr' = Trigger.rename trace tr in
-        if
-          Trigger.is_trigger_for_in tr' idx
-          && not (Trigger.satisfied_in tr' idx)
-        then begin
-          let app = Trigger.apply_in tr' idx in
-          let added =
-            List.filter
-              (fun a -> not (Homo.Instance.mem idx a))
-              (Atomset.to_list app.Trigger.produced)
-          in
-          let pre_idx = Homo.Instance.add_atoms idx added in
-          let sigma = simplify pre_idx ~added app in
-          let d' =
-            Derivation.extend_applied ~validate:false d tr' app
-              ~simplification:sigma
-          in
-          let idx' = Homo.Instance.apply_subst sigma pre_idx in
-          if Obs.live () then begin
-            let stepi = (Derivation.last d').Derivation.index in
-            obs_applied ~engine:"stream" ~step:stepi ~rule:(Trigger.rule tr')
-              ~produced:(Atomset.cardinal app.Trigger.produced)
-              idx';
-            if not (Subst.is_empty sigma) then
-              obs_retract ~engine:"stream" ~step:stepi
-                ~before:(Homo.Instance.cardinal pre_idx)
-                idx'
-          end;
-          Seq.Cons (d', next (d', idx', prev_snapshot, rest))
-        end
-        else next (d, idx, prev_snapshot, rest) ())
-    | [] ->
-        (* start a new round *)
-        let current = Homo.Instance.atomset idx in
-        let delta =
-          Option.map (fun old -> Atomset.diff current old) prev_snapshot
-        in
-        let active = Trigger.discover ?delta (Kb.rules kb) idx in
-        if active = [] then Seq.Nil
-        else begin
-          if Obs.live () then
-            obs_round_start ~engine:"stream"
-              ~round:(1 + Derivation.length d - 1)
-              idx;
-          let base = Derivation.length d - 1 in
-          next
-            (d, idx, Some current, List.map (fun tr -> (base, tr)) active)
-            ()
-        end
+    | tr :: rest -> (
+        match fire ~engine ~simplify ~hit:ignore ~base d idx tr with
+        | Some (d', idx', _, _, _) ->
+            Seq.Cons (d', next (d', idx', prev, round, base, rest))
+        | None -> next (d, idx, prev, round, base, rest) ())
+    | [] -> (
+        match next_round Trigger.discover rules prev idx with
+        | _, [] -> Seq.Nil
+        | current, active ->
+            let round = round + 1 in
+            if Obs.live () then obs_round_start ~engine ~round idx;
+            next
+              (d, idx, Some current, round, Derivation.length d - 1, active)
+              ())
   in
   let d0 =
     Derivation.start
@@ -529,7 +505,7 @@ let stream ~variant kb =
   let idx0 =
     Homo.Instance.of_atomset (Derivation.last d0).Derivation.instance
   in
-  fun () -> Seq.Cons (d0, next (d0, idx0, None, []))
+  fun () -> Seq.Cons (d0, next (d0, idx0, None, 0, 0, []))
 
 module Egds = struct
   type outcome =
@@ -583,11 +559,14 @@ module Egds = struct
     in
     let exception Fail of Egd.t in
     let exception Stop_run of Resilience.outcome in
-    (* Incremental-core invariant for the [`Core] variant: true exactly
-       when the current instance is known to be a core.  EGD merges can
-       create foldable redundancy, so every unification clears it; each
-       core retraction re-establishes it. *)
+    (* Incremental-core invariant for the [`Core] variant: EGD merges can
+       create foldable redundancy, so every unification clears it. *)
     let core_inv = ref false in
+    let simplify =
+      match variant with
+      | `Restricted -> no_simplification
+      | `Core -> core_simplification core_inv
+    in
     (* saturate the EGDs in place; each unification rewrites only the
        buckets of the merged term *)
     let rec egd_saturate () =
@@ -620,17 +599,16 @@ module Egds = struct
               end;
               egd_saturate ())
     in
-    (* one TGD round on the instance (restricted-style; core retracts);
-       trigger discovery is delta-driven against the previous round *)
+    (* one TGD round on the instance (restricted-style; core retracts).
+       Triggers are applied as discovered, not renamed through a σ-trace:
+       the EGD chase is not a Definition-1 derivation. *)
     let prev_snapshot = ref None in
     let rounds = ref 0 in
     let tgd_round () =
       Resilience.poll ();
-      let current = Homo.Instance.atomset !idx in
-      let delta =
-        Option.map (fun old -> Atomset.diff current old) !prev_snapshot
+      let current, active =
+        next_round Trigger.discover (Kb.rules kb) !prev_snapshot !idx
       in
-      let active = Trigger.discover ?delta (Kb.rules kb) !idx in
       prev_snapshot := Some current;
       if active = [] then false
       else begin
@@ -649,26 +627,7 @@ module Egds = struct
               let app = Trigger.apply_in tr !idx in
               if Atomset.cardinal app.Trigger.result > budget.max_atoms then
                 raise (Stop_run Atom_budget);
-              let added =
-                List.filter
-                  (fun a -> not (Homo.Instance.mem !idx a))
-                  (Atomset.to_list app.Trigger.produced)
-              in
-              let pre_idx = Homo.Instance.add_atoms !idx added in
-              let idx' =
-                match variant with
-                | `Restricted -> pre_idx
-                | `Core ->
-                    let scope =
-                      if !core_inv then
-                        Homo.Core.Delta { fresh = app.Trigger.fresh; added }
-                      else Homo.Core.Full
-                    in
-                    core_inv := true;
-                    Homo.Instance.apply_subst
-                      (Homo.Core.retraction_to_core_indexed ~scope pre_idx)
-                      pre_idx
-              in
+              let _, pre_idx, _, idx' = patch ~simplify !idx app in
               idx := idx';
               if Obs.live () then begin
                 obs_applied ~engine:"egd" ~step:!steps ~rule:(Trigger.rule tr)
@@ -700,12 +659,12 @@ module Egds = struct
        done
      with
     | Fail egd -> outcome := Failed egd
-    | Stop_run o ->
-        Resilience.record ~engine:"egd" ~step:!steps o;
-        record_if_new ();
-        outcome := Stopped o
     | e -> (
-        match Resilience.outcome_of_exn e with
+        match
+          match e with
+          | Stop_run o -> Some o
+          | e -> Resilience.outcome_of_exn e
+        with
         | Some o ->
             Resilience.record ~engine:"egd" ~step:!steps o;
             record_if_new ();
@@ -717,7 +676,6 @@ end
 module Baseline = struct
   type trace = {
     instances : Atomset.t list;
-    terminated : bool;  (** [outcome = Fixpoint]; kept for existing callers *)
     outcome : Resilience.outcome;
     steps : int;
   }
@@ -744,11 +702,9 @@ module Baseline = struct
        while !outcome = None do
          Resilience.poll ();
          Resilience.Fault.hit "round";
-         let current = Homo.Instance.atomset !idx in
-         let delta =
-           Option.map (fun old -> Atomset.diff current old) !prev_snapshot
+         let current, candidates =
+           next_round Trigger.discover_all (Kb.rules kb) !prev_snapshot !idx
          in
-         let candidates = Trigger.discover_all ?delta (Kb.rules kb) !idx in
          prev_snapshot := Some current;
          let fresh_triggers =
            List.filter (fun tr -> not (Hashtbl.mem seen (key tr))) candidates
@@ -790,13 +746,9 @@ module Baseline = struct
            outcome := Some o;
            Resilience.record ~engine ~step:!steps o
        | None -> raise e));
-    let outcome =
-      match !outcome with Some o -> o | None -> assert false
-    in
     {
       instances = List.rev !instances;
-      terminated = Resilience.terminated outcome;
-      outcome;
+      outcome = (match !outcome with Some o -> o | None -> assert false);
       steps = !steps;
     }
 

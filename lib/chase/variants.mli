@@ -169,8 +169,6 @@ end
 module Baseline : sig
   type trace = {
     instances : Atomset.t list;
-    terminated : bool;
-        (** [outcome = Fixpoint]; kept for existing callers *)
     outcome : Resilience.outcome;
     steps : int;
   }

@@ -405,21 +405,22 @@ let of_json_line line =
 
 (* ------------------------------------------------------------------ *)
 
-let emit ev =
-  if Metrics.slot () <> 0 || muted () then ()
-  else
-  match !current with
+let write sink ev =
+  match sink with
   | Null -> ()
-  | Console ppf ->
-      incr emitted;
-      Format.fprintf ppf "%a@." pp_event ev
+  | Console ppf -> Format.fprintf ppf "%a@." pp_event ev
   | Jsonl oc ->
-      incr emitted;
       output_string oc (to_json ev);
       output_char oc '\n'
-  | Custom f ->
-      incr emitted;
-      f ev
+  | Custom f -> f ev
+
+let emit ev =
+  if Metrics.slot () = 0 && not (muted ()) then
+    match !current with
+    | Null -> ()
+    | sink ->
+        incr emitted;
+        write sink ev
 
 let with_sink s f =
   let saved = !current in

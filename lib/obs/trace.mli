@@ -111,6 +111,10 @@ val emit : event -> unit
 (** Deliver the event to the current sink (drops it on {!Null} and on
     worker domains). *)
 
+val write : sink -> event -> unit
+(** Deliver the event to the given sink, unconditionally and uncounted:
+    the delivery half of {!emit}, for sinks that forward to another. *)
+
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Run the thunk with the given sink, restoring the previous sink
     afterwards (also on exceptions). *)

@@ -68,7 +68,10 @@ let document_lines ?max_domain ~budget kb snapshot (doc : Dlgp.document) =
     match doc.Dlgp.constraints with
     | [] -> []
     | constraints ->
-        [ constraints_line (E.inconsistent ~budget ~constraints kb) ]
+        [
+          constraints_line
+            (E.inconsistent ~budget ?max_domain ~constraints kb);
+        ]
   in
   let queries =
     List.map

@@ -58,7 +58,8 @@ val document_lines :
 (** Every result line of an ENTAIL document, in print order, and the
     worst severity among them: the
     {!constraints_line} when the document has negative constraints
-    (their own core chase under [budget], countermodel domains up to 4),
+    (their own core chase under [budget], countermodel domains up to
+    [max_domain], default 4, as for the queries),
     then one {!verdict_line} / {!answers_line} per query, all decided
     from the one [snapshot] through
     {!Corechase.Entailment.decide_in_snapshot} and

@@ -166,15 +166,6 @@ let exec_load t ~session ~source =
    sink the server runs under (e.g. the --trace JSONL file), and round
    starts additionally stream to the client as [event] frames, so a
    long chase is observably alive. *)
-let forward_to sink ev =
-  match sink with
-  | Trace.Null -> ()
-  | Trace.Console ppf -> Format.fprintf ppf "%a@." Trace.pp_event ev
-  | Trace.Jsonl oc ->
-      output_string oc (Trace.to_json ev);
-      output_char oc '\n'
-  | Trace.Custom f -> f ev
-
 let exec_chase t ~emit ~session ~variant ~steps ~atoms =
   let* s = find t session in
   let* info =
@@ -196,7 +187,7 @@ let exec_chase t ~emit ~session ~variant ~steps ~atoms =
             payload = Fmt.str "round %d: %d atoms" round size;
           }
     | _ -> ());
-    forward_to prev ev
+    Trace.write prev ev
   in
   let run () =
     Trace.with_sink (Trace.Custom tee) (fun () ->

@@ -81,7 +81,7 @@ let test_declared_behaviour_holds () =
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s restricted chase terminates" c.Zoo.Families.name)
-            expected run.Chase.terminated)
+            expected (Resilience.terminated run.Chase.outcome))
         (all_cases ~scale))
     scales
 
@@ -103,12 +103,12 @@ let soundness_at ~jobs () =
                   (Printf.sprintf
                      "%s: certificate implies restricted fixpoint"
                      c.Zoo.Families.name)
-                  true restricted.Chase.terminated;
+                  true (Resilience.terminated restricted.Chase.outcome);
                 let core = Chase.run ~budget Chase.Core c.Zoo.Families.kb in
                 Alcotest.(check bool)
                   (Printf.sprintf "%s: core chase also terminates"
                      c.Zoo.Families.name)
-                  true core.Chase.terminated;
+                  true (Resilience.terminated core.Chase.outcome);
                 Alcotest.(check bool)
                   (Printf.sprintf
                      "%s: core(restricted result) ≅ core-chase result"
@@ -204,7 +204,10 @@ let test_routed_engine_agrees_with_core () =
               let choice, _reason = Analyze.route_of_report kb report in
               let routed = Chase.run_engine ~budget choice kb in
               let core = Chase.run ~budget Chase.Core kb in
-              if routed.Chase.terminated && core.Chase.terminated then
+              if
+                Resilience.terminated routed.Chase.outcome
+                && Resilience.terminated core.Chase.outcome
+              then
                 Alcotest.(check bool)
                   (Printf.sprintf "%s jobs=%d: routed ≡ core up to core"
                      c.Zoo.Families.name jobs)

@@ -250,6 +250,67 @@ let one_chase_per_document () =
           (lazy (Q.chase_snapshot ~variant ~budget kb))
           doc))
 
+(* ------------------------------------------------------------------ *)
+(* The constraints line searches countermodels within the document's
+   domain budget, like its queries: a constraint gets the verdict of
+   the boolean query with the same body. *)
+
+let diagonal_doc =
+  {|
+parent(alice, bob).
+[anc-base] ancestor(X, Y) :- parent(X, Y).
+[anc-rec]  ancestor(X, Z) :- parent(X, Y), ancestor(Y, Z).
+[people]   person(X), person(Y) :- parent(X, Y).
+[progenitor] parent(Z, X), person(Z) :- person(X).
+? :- parent(X, X).
+! :- parent(X, X).
+|}
+
+let verdict_kind = function
+  | E.Entailed -> "entailed"
+  | E.Not_entailed -> "not entailed"
+  | E.Unknown _ -> "unknown"
+
+let constraints_honour_max_domain () =
+  let doc =
+    match Dlgp.parse_string diagonal_doc with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "fixture: %a" Dlgp.pp_error e
+  in
+  let kb = Dlgp.kb_of_document doc in
+  let q = List.hd doc.Dlgp.queries and constraints = doc.Dlgp.constraints in
+  let budget = { Chase.Variants.max_steps = 10; max_atoms = 5_000 } in
+  List.iter
+    (fun (max_domain, expected) ->
+      let label what = Fmt.str "max_domain %d: %s" max_domain what in
+      agree (label "constraint verdict = query verdict")
+        ~expect:(fun () ->
+          verdict_kind (E.decide ~variant:`Core ~budget ~max_domain kb q))
+        ~got:(fun () ->
+          verdict_kind (E.inconsistent ~budget ~max_domain ~constraints kb));
+      agree (label "query verdict")
+        ~expect:(fun () -> expected)
+        ~got:(fun () ->
+          verdict_kind (E.decide ~variant:`Core ~budget ~max_domain kb q));
+      agree (label "document lines")
+        ~expect:(fun () ->
+          String.concat "\n"
+            [
+              fst
+                (Q.constraints_line
+                   (R.inconsistent ~budget ~max_domain ~constraints kb));
+              fst
+                (Q.verdict_line q
+                   (R.decide ~variant:`Core ~budget ~max_domain kb q));
+            ])
+        ~got:(fun () ->
+          String.concat "\n"
+            (fst
+               (Q.document_lines ~max_domain ~budget kb
+                  (lazy (Q.chase_snapshot ~variant:`Core ~budget kb))
+                  doc))))
+    [ (1, "unknown"); (4, "not entailed") ]
+
 let suites =
   [
     ( "entail.law",
@@ -260,6 +321,7 @@ let suites =
           (law_on random_cases ~budgets);
         tc "final element ≡ every element: staircase and elevator"
           (law_on infinite_cases ~budgets:(fun _ -> infinite_budgets));
+        tc "constraints honour max_domain" constraints_honour_max_domain;
       ] );
     ("entail.document", [ tc "one chase per document" one_chase_per_document ]);
   ]

@@ -145,6 +145,13 @@ let take n seq =
   in
   go n seq []
 
+let stream_rounds evs =
+  List.filter_map
+    (function
+      | Obs.Trace.Round_start { engine = "stream"; round; _ } -> Some round
+      | _ -> None)
+    evs
+
 let test_stream_events () =
   let elems, evs =
     collect (fun () ->
@@ -152,7 +159,36 @@ let test_stream_events () =
   in
   Alcotest.(check int) "stream: applied events = elements - 1"
     (List.length elems - 1)
-    (count is_applied evs)
+    (count is_applied evs);
+  let rounds = stream_rounds evs in
+  Alcotest.(check (list int)) "stream: rounds count 1..n"
+    (List.init (List.length rounds) (fun i -> i + 1))
+    rounds;
+  (* run to the fixpoint, the stream starts as many rounds as the eager
+     engine of its variant *)
+  let budget = { Chase.Variants.max_steps = 2_000; max_atoms = 20_000 } in
+  List.iteri
+    (fun i kb ->
+      List.iter
+        (fun (vname, variant, eager) ->
+          let label what = Printf.sprintf "datalog-%d/%s: %s" i vname what in
+          let _, evs =
+            collect (fun () -> List.of_seq (Chase.Variants.stream ~variant kb))
+          in
+          let run = eager kb in
+          Alcotest.(check bool) (label "eager fixpoint") true
+            (run.Chase.Variants.outcome = Chase.Variants.Fixpoint);
+          Alcotest.(check (list int)) (label "stream rounds = 1..run.rounds")
+            (List.init run.Chase.Variants.rounds (fun i -> i + 1))
+            (stream_rounds evs))
+        [
+          ( "restricted",
+            `Restricted,
+            fun kb -> Chase.Variants.restricted ~budget kb );
+          ("frugal", `Frugal, fun kb -> Chase.Variants.frugal ~budget kb);
+          ("core", `Core, fun kb -> Chase.Variants.core ~budget kb);
+        ])
+    (Zoo.Randomkb.generate_many ~seed:47 ~count:3 Zoo.Randomkb.datalog)
 
 (* ------------------------------------------------------------------ *)
 (* EGD engine: a TGD application then one unification *)

@@ -217,13 +217,14 @@ let run_fingerprint engine ~jobs mk_kb steps =
                   | _ -> Chase.Variants.Baseline.skolem)
                     ~budget:(budget steps) kb
                 in
-                let { Chase.Variants.Baseline.instances; terminated; steps; _ } =
+                let { Chase.Variants.Baseline.instances; outcome; steps } =
                   run
                 in
                 {
                   fp_steps = List.map (fun i -> ("", i, i)) instances;
                   fp_tail =
-                    Printf.sprintf "terminated=%b steps=%d" terminated steps;
+                    Printf.sprintf "terminated=%b steps=%d"
+                      (Resilience.terminated outcome) steps;
                   fp_counters = [];
                 }
             | Restricted | Core | Frugal ->

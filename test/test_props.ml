@@ -220,7 +220,11 @@ let chase_renaming_invariant seed =
       ~rules:(List.map Rule.rename_apart (Kb.rules kb))
   in
   let r2 = Chase.run ~budget Chase.Restricted kb' in
-  if not (r1.Chase.terminated && r2.Chase.terminated) then
+  if
+    not
+      (Resilience.terminated r1.Chase.outcome
+      && Resilience.terminated r2.Chase.outcome)
+  then
     (* budget runs carry no invariance guarantee; datalog KBs of this
        size terminate, so this branch stays unexercised in practice *)
     true
@@ -677,7 +681,7 @@ let analyzer_certificate_sound seed =
     Analyze.verdict_rank r.Analyze.verdict
     >= Analyze.verdict_rank Analyze.Terminates_restricted
   then
-    (Chase.run ~budget:analyze_budget Chase.Restricted kb).Chase.terminated
+    Resilience.terminated (Chase.run ~budget:analyze_budget Chase.Restricted kb).Chase.outcome
   else true
 
 (* Law 15: every near-miss zoo mutant is rejected from exactly the class

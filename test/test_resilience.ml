@@ -125,7 +125,7 @@ let test_baselines_and_egds_boundaries () =
   let ob = Chase.Variants.Baseline.oblivious ~budget:small ~token (kb_chain ()) in
   Alcotest.(check bool) "oblivious deadline" true
     (ob.Chase.Variants.Baseline.outcome = Chase.Variants.Deadline
-    && not ob.Chase.Variants.Baseline.terminated);
+    && not (Resilience.terminated ob.Chase.Variants.Baseline.outcome));
   reset ();
   let sk =
     Chase.Variants.Baseline.skolem

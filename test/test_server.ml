@@ -608,6 +608,8 @@ let differential_queries =
     (family_kb, "? :- ancestor(alice, carol).");
     (family_kb, "? :- ancestor(carol, alice).");
     (family_kb, "! :- parent(X, X).\n? :- ancestor(alice, bob).");
+    (* a constraint and the query with its body: the same verdict *)
+    (family_kb, "! :- parent(X, X).\n? :- parent(X, X).");
   ]
 
 let differential ~vname ~variant ~jobs () =
