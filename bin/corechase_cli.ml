@@ -549,7 +549,7 @@ let strict_arg =
            (without this flag an unknown verdict still exits 0).")
 
 let strict_exit ~strict (report : Analyze.report) =
-  if strict && report.Analyze.verdict = Analyze.Unknown then exit_input
+  if strict && Analyze.verdict report = Analyze.Unknown then exit_input
   else exit_ok
 
 let analyze_cmd =
@@ -602,7 +602,7 @@ let classify_cmd =
       Fmt.(list ~sep:sp int)
       profile.Corechase.Probes.series;
     let analysis = Analyze.analyze ~budget:(budget_of steps atoms) kb in
-    Fmt.pr "analyzer verdict: %s@." (Analyze.verdict_name analysis.Analyze.verdict);
+    Fmt.pr "analyzer verdict: %s@." (Analyze.verdict_name (Analyze.verdict analysis));
     strict_exit ~strict analysis
   in
   Cmd.v

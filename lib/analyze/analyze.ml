@@ -22,10 +22,16 @@ type scope = Universal | Instance
 
 type criterion = { name : string; holds : bool; scope : scope; detail : string }
 
+(* A criterion, computed on demand, and the verdict it lends the report
+   when it holds.  The contribution is known before the criterion runs,
+   so a reader can skip every criterion that cannot change its answer. *)
+type evidence = { contributes : verdict; criterion : criterion Lazy.t }
+
 type report = {
   classes : Rclasses.report;
-  criteria : criterion list;
-  verdict : verdict;
+  trail : evidence list;
+  verdict : verdict Lazy.t;
+  certified : bool Lazy.t;
 }
 
 let default_budget = Chase.Variants.{ max_steps = 500; max_atoms = 5_000 }
@@ -40,15 +46,44 @@ let m_routed = lazy (Obs.Metrics.counter "analyze.routed")
 
 let join a b = if verdict_rank a >= verdict_rank b then a else b
 
+let holds e = (Lazy.force e.criterion).holds
+
+let certifies e =
+  verdict_rank e.contributes >= verdict_rank Terminates_restricted
+
+(* The exact join over the trail, forcing a criterion only while its
+   contribution could still raise the verdict: the syntactic criteria,
+   then the skolem probe, then the rank probe, never the atomic probes. *)
+let join_trail =
+  List.fold_left
+    (fun v e ->
+      if verdict_rank e.contributes > verdict_rank v && holds e then
+        e.contributes
+      else v)
+    Unknown
+
 let analyze ?(budget = default_budget) kb =
   Obs.Metrics.incr (Lazy.force m_runs);
   let rules = Kb.rules kb in
   let classes = Rclasses.analyze rules in
   let has_egds = Kb.egds kb <> [] in
-  let criteria = ref [] and verdict = ref Unknown in
+  let trail = ref [] in
+  let add contributes criterion =
+    let e = { contributes; criterion } in
+    trail := e :: !trail;
+    e
+  in
   let crit ?(contributes = Unknown) name scope holds detail =
-    criteria := { name; holds; scope; detail } :: !criteria;
-    if holds then verdict := join !verdict contributes
+    ignore (add contributes (Lazy.from_val { name; holds; scope; detail }))
+  in
+  (* a semantic probe runs when first forced; [run] returns whether it
+     holds, its detail and the number of chases it ran *)
+  let probe ?(contributes = Unknown) name scope run =
+    add contributes
+      (lazy
+        (let holds, detail, chases = run () in
+         Obs.Metrics.add (Lazy.force m_probes) chases;
+         { name; holds; scope; detail }))
   in
   (* Syntactic, universal-scope criteria. *)
   crit "classes:datalog" Universal
@@ -116,74 +151,121 @@ let analyze ?(budget = default_budget) kb =
             ])
      else "no guardedness class holds");
   (* Semantic probes — skipped when EGDs are present (the termination
-     certificates below only cover TGD chases). *)
-  if has_egds then
-    crit "egds:present" Universal true
-      "EGDs present: semantic probes skipped, verdict capped at unknown"
-  else begin
-    let critical = Corechase.Probes.critical_instance rules in
-    let skolem =
-      Chase.Variants.Baseline.skolem ~budget (Kb.make ~facts:critical ~rules)
-    in
-    Obs.Metrics.incr (Lazy.force m_probes);
-    let fixpoint =
-      Resilience.terminated skolem.Chase.Variants.Baseline.outcome
-    in
-    crit "critical:skolem-fixpoint" Universal ~contributes:Terminates_all
-      fixpoint
-      (if fixpoint then
-         Printf.sprintf "skolem chase fixpoint on the critical instance (%d steps)"
-           skolem.Chase.Variants.Baseline.steps
-       else
-         Printf.sprintf "no fixpoint within budget (%s)"
-           (Resilience.outcome_name skolem.Chase.Variants.Baseline.outcome));
-    let lin = Linearcheck.check ~budget kb in
-    Obs.Metrics.add (Lazy.force m_probes) lin.Linearcheck.probes;
-    crit "linear:atomic-probes" Universal lin.Linearcheck.certified
-      (match lin.Linearcheck.why_not with
-      | Some why -> why
-      | None ->
-          if lin.Linearcheck.certified then
-            Printf.sprintf "all %d atomic instances reach fixpoint"
-              lin.Linearcheck.probes
-          else
-            Printf.sprintf "probe(s) missed fixpoint: %s"
-              (String.concat " " lin.Linearcheck.failures));
-    let ranks = Ranks.probe ~budget kb in
-    Obs.Metrics.incr (Lazy.force m_probes);
-    crit "ranks:instance-fixpoint" Instance ~contributes:Terminates_restricted
-      ranks.Ranks.fixpoint
-      (if ranks.Ranks.fixpoint then
-         Fmt.str "restricted fixpoint at rank %d (%a)" ranks.Ranks.max_rank
-           Ranks.pp_frontier ranks.Ranks.frontier
-       else
-         Printf.sprintf "no fixpoint within budget (%s), rank reached %d"
-           (Resilience.outcome_name ranks.Ranks.outcome)
-           ranks.Ranks.max_rank)
-  end;
-  let report = { classes; criteria = List.rev !criteria; verdict = !verdict } in
-  if verdict_rank report.verdict >= verdict_rank Terminates_restricted then
-    Obs.Metrics.incr (Lazy.force m_certified);
-  report
+     certificates below only cover TGD chases).  [by_cost] is the trail
+     in the order [certified] tries it, cheapest first: the free
+     criteria, the rank probe (one restricted chase of the KB), then
+     the skolem chase of the critical instance. *)
+  let by_cost =
+    if has_egds then begin
+      crit "egds:present" Universal true
+        "EGDs present: semantic probes skipped, verdict capped at unknown";
+      List.rev !trail
+    end
+    else begin
+      let free = List.rev !trail in
+      ignore (Lazy.force m_probes);
+      let skolem =
+        probe "critical:skolem-fixpoint" Universal ~contributes:Terminates_all
+          (fun () ->
+            let critical = Corechase.Probes.critical_instance rules in
+            let skolem =
+              Chase.Variants.Baseline.skolem ~budget
+                (Kb.make ~facts:critical ~rules)
+            in
+            let fixpoint =
+              Resilience.terminated skolem.Chase.Variants.Baseline.outcome
+            in
+            ( fixpoint,
+              (if fixpoint then
+                 Printf.sprintf
+                   "skolem chase fixpoint on the critical instance (%d steps)"
+                   skolem.Chase.Variants.Baseline.steps
+               else
+                 Printf.sprintf "no fixpoint within budget (%s)"
+                   (Resilience.outcome_name
+                      skolem.Chase.Variants.Baseline.outcome)),
+              1 ))
+      in
+      (* justification only: contributes nothing, so no verdict forces it *)
+      ignore
+        (probe "linear:atomic-probes" Universal (fun () ->
+             let lin = Linearcheck.check ~budget kb in
+             ( lin.Linearcheck.certified,
+               (match lin.Linearcheck.why_not with
+               | Some why -> why
+               | None ->
+                   if lin.Linearcheck.certified then
+                     Printf.sprintf "all %d atomic instances reach fixpoint"
+                       lin.Linearcheck.probes
+                   else
+                     Printf.sprintf "probe(s) missed fixpoint: %s"
+                       (String.concat " " lin.Linearcheck.failures)),
+               lin.Linearcheck.probes )));
+      let ranks =
+        probe "ranks:instance-fixpoint" Instance
+          ~contributes:Terminates_restricted (fun () ->
+            let ranks = Ranks.probe ~budget kb in
+            ( ranks.Ranks.fixpoint,
+              (if ranks.Ranks.fixpoint then
+                 Fmt.str "restricted fixpoint at rank %d (%a)"
+                   ranks.Ranks.max_rank Ranks.pp_frontier ranks.Ranks.frontier
+               else
+                 Printf.sprintf "no fixpoint within budget (%s), rank reached %d"
+                   (Resilience.outcome_name ranks.Ranks.outcome)
+                   ranks.Ranks.max_rank),
+              1 ))
+      in
+      free @ [ ranks; skolem ]
+    end
+  in
+  let trail = List.rev !trail in
+  let certified =
+    lazy
+      (let c = List.exists (fun e -> certifies e && holds e) by_cost in
+       if c then Obs.Metrics.incr (Lazy.force m_certified);
+       c)
+  in
+  { classes; trail; verdict = lazy (join_trail trail); certified }
+
+let classes r = r.classes
+let verdict r = Lazy.force r.verdict
+let certified r = Lazy.force r.certified
+
+(* The whole trail, probes forced in trail order. *)
+let criteria r = List.map (fun e -> Lazy.force e.criterion) r.trail
+
+(* The best verdict the criteria forced so far support.  It is the
+   exact verdict once the trail, the verdict or the skolem probe has
+   been forced; after routing alone it is the level of the criterion
+   that certified. *)
+let known r =
+  List.fold_left
+    (fun v e ->
+      if Lazy.is_val e.criterion && holds e then join v e.contributes else v)
+    Unknown r.trail
 
 let route_of_report kb report =
   Obs.Metrics.incr (Lazy.force m_routed);
+  (* forced first, for every KB, so [analyze.certified] counts each
+     routed report the verdict certifies; free on datalog and EGD KBs *)
+  let certified = certified report in
   if Kb.egds kb <> [] then
     (Chase.Engine_core, "EGDs present: core engine with EGD-aware handling")
   else if report.classes.Rclasses.datalog then
     (Chase.Engine_datalog, "existential-free ruleset: semi-naive saturation")
-  else if verdict_rank report.verdict >= verdict_rank Terminates_restricted then
+  else if certified then
     ( Chase.Engine_restricted,
       Printf.sprintf "termination certified (%s): restricted chase suffices"
-        (verdict_name report.verdict) )
+        (verdict_name (known report)) )
   else
     ( Chase.Engine_core,
       Printf.sprintf "no termination certificate (%s): core chase + robust aggregation"
-        (verdict_name report.verdict) )
+        (verdict_name (verdict report)) )
 
 let route ?budget kb = fst (route_of_report kb (analyze ?budget kb))
 
 let pp_report ppf r =
+  let criteria = criteria r in
   Fmt.pf ppf "@[<v>%a@," Rclasses.pp_report r.classes;
   Fmt.pf ppf "criteria@,";
   List.iter
@@ -193,8 +275,8 @@ let pp_report ppf r =
         c.name
         (match c.scope with Universal -> "universal" | Instance -> "instance")
         c.detail)
-    r.criteria;
-  Fmt.pf ppf "verdict: %s@]" (verdict_name r.verdict)
+    criteria;
+  Fmt.pf ppf "verdict: %s@]" (verdict_name (verdict r))
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -211,6 +293,7 @@ let json_escape s =
   Buffer.contents buf
 
 let to_json kb r =
+  let criteria = criteria r in
   let choice, reason = route_of_report kb r in
   let criterion c =
     Printf.sprintf
@@ -237,6 +320,6 @@ let to_json kb r =
   in
   Printf.sprintf
     "{\"verdict\":\"%s\",\"classes\":{%s},\"criteria\":[%s],\"route\":{\"engine\":\"%s\",\"reason\":\"%s\"}}"
-    (verdict_name r.verdict) classes
-    (String.concat "," (List.map criterion r.criteria))
+    (verdict_name (verdict r)) classes
+    (String.concat "," (List.map criterion criteria))
     (Chase.engine_name choice) (json_escape reason)

@@ -93,7 +93,9 @@ let engine_name = function
     the restricted chase — every trigger is satisfied exactly when its
     head atoms are present — so the report carries [variant = Restricted];
     saturation always terminates, so the budget only applies to the other
-    engines.  [Engine_core] is the full core chase. *)
+    engines, but [token] stops it between rounds: the report then carries
+    the stopping outcome and the last completed round as [final].
+    [Engine_core] is the full core chase. *)
 let run_engine ?budget ?token choice kb =
   match choice with
   | Engine_restricted -> run ?budget ?token Restricted kb
@@ -102,13 +104,28 @@ let run_engine ?budget ?token choice kb =
       if Kb.egds kb <> [] then
         invalid_arg "Chase.run_engine: datalog engine does not handle EGDs";
       let facts = Kb.facts kb in
-      let final = Datalog.saturate (Kb.rules kb) facts in
+      let final = ref facts in
+      let steps () = Atomset.cardinal !final - Atomset.cardinal facts in
+      let outcome =
+        match
+          Resilience.with_token token (fun () ->
+              Datalog.fold_rounds (Kb.rules kb) facts ~init:() (fun () i ->
+                  final := i))
+        with
+        | () -> Resilience.Fixpoint
+        | exception e -> (
+            match Resilience.outcome_of_exn e with
+            | Some o ->
+                Resilience.record ~engine:"datalog" ~step:(steps ()) o;
+                o
+            | None -> raise e)
+      in
       {
         variant = Restricted;
-        outcome = Resilience.Fixpoint;
-        steps = Atomset.cardinal final - Atomset.cardinal facts;
-        final;
-        sizes = [ Atomset.cardinal facts; Atomset.cardinal final ];
+        outcome;
+        steps = steps ();
+        final = !final;
+        sizes = [ Atomset.cardinal facts; Atomset.cardinal !final ];
       }
 
 (** Does the instance satisfy every rule (i.e. is it a model of the

@@ -10,10 +10,14 @@ let check_datalog rules =
 
 (* One index, patched with each round's new atoms; the next round's
    triggers are those anchored on them (full enumeration on the first
-   round).  A datalog trigger's head image needs no fresh nulls. *)
-let rounds rules facts =
+   round).  A datalog trigger's head image needs no fresh nulls.  Each
+   round starts at a poll site, so a deadline or cancellation stops the
+   saturation between rounds. *)
+let fold_rounds rules facts ~init f =
   check_datalog rules;
   let rec go idx delta acc =
+    Resilience.poll ();
+    Resilience.Fault.hit "round";
     let fresh =
       List.fold_left
         (fun acc tr ->
@@ -25,14 +29,14 @@ let rounds rules facts =
         Atomset.empty
         (Trigger.discover_all ?delta rules idx)
     in
-    if Atomset.is_empty fresh then List.rev acc
+    if Atomset.is_empty fresh then acc
     else
       let idx = Homo.Instance.add_atoms idx (Atomset.to_list fresh) in
-      go idx (Some fresh) (Homo.Instance.atomset idx :: acc)
+      go idx (Some fresh) (f acc (Homo.Instance.atomset idx))
   in
-  go (Homo.Instance.of_atomset facts) None [ facts ]
+  go (Homo.Instance.of_atomset facts) None (f init facts)
 
-let saturate rules facts =
-  match List.rev (rounds rules facts) with
-  | last :: _ -> last
-  | [] -> facts
+let rounds rules facts =
+  List.rev (fold_rounds rules facts ~init:[] (fun acc i -> i :: acc))
+
+let saturate rules facts = fold_rounds rules facts ~init:facts (fun _ i -> i)

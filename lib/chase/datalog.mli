@@ -9,8 +9,18 @@
 
 open Syntax
 
+val fold_rounds :
+  Rule.t list -> Atomset.t -> init:'a -> ('a -> Atomset.t -> 'a) -> 'a
+(** [fold_rounds rules facts ~init f] folds [f] over the instance after
+    each round, [facts] first.  Every round starts at a
+    {!Resilience.poll} site (and the [round] fault site), so under an
+    ambient token the saturation stops between rounds with
+    {!Resilience.Interrupted}; the last instance [f] saw is then a
+    completed round.
+    @raise Invalid_argument if some rule has existential variables. *)
+
 val saturate : Rule.t list -> Atomset.t -> Atomset.t
-(** [saturate rules facts].
+(** [saturate rules facts], the last round of {!fold_rounds}.
     @raise Invalid_argument if some rule has existential variables. *)
 
 val rounds : Rule.t list -> Atomset.t -> Atomset.t list

@@ -306,18 +306,19 @@ let exec_analyze t ~emit ~session =
   let report =
     match info.analysis with
     | Some r -> r
-    | None ->
-        let r = Analyze.analyze info.kb in
-        info.analysis <- Some r;
-        r
+    | None -> Analyze.analyze info.kb
   in
+  (* Printing forces every probe, so the route line below names the
+     exact verdict.  The report is cached only once forced, since a
+     [Lazy.t] keeps any exception its computation raised. *)
+  let trail = Fmt.str "%a" Analyze.pp_report report in
+  info.analysis <- Some report;
   let choice, reason = Analyze.route_of_report info.kb report in
   emit
     (data
-       (Fmt.str "%a@.route: %s (%s)" Analyze.pp_report report
-          (Chase.engine_name choice) reason));
+       (Fmt.str "%s@.route: %s (%s)" trail (Chase.engine_name choice) reason));
   session_ev "analyzed" s;
-  ok (Analyze.verdict_name report.Analyze.verdict)
+  ok (Analyze.verdict_name (Analyze.verdict report))
 
 let exec_stats t ~emit ~session =
   let* s = find t session in

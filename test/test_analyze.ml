@@ -17,7 +17,11 @@
        per-predicate Boolean queries over the whole corpus;
    (e) the routing policy itself is pinned: existential-free →
        semi-naive datalog, certified → restricted, EGDs or no
-       certificate → core. *)
+       certificate → core;
+   (f) the lazy report agrees with the eager reference fold
+       ([Reference.Analyze_ref]) on the whole zoo and on seeded random
+       KBs — forced trail and JSON byte for byte, verdict, route — and
+       routing runs only the probes it needs ([analyze.probes]). *)
 
 open Syntax
 
@@ -26,10 +30,6 @@ open Syntax
    (restricted steps on a growing instance get expensive fast, so the
    cap keeps the whole corpus sweep quick). *)
 let budget = { Chase.Variants.max_steps = 120; max_atoms = 3_000 }
-
-let certified (r : Analyze.report) =
-  Analyze.verdict_rank r.Analyze.verdict
-  >= Analyze.verdict_rank Analyze.Terminates_restricted
 
 let scales = [ 1; 2; 4 ]
 
@@ -95,7 +95,7 @@ let soundness_at ~jobs () =
           List.iter
             (fun (c : Zoo.Families.case) ->
               let report = Analyze.analyze ~budget c.Zoo.Families.kb in
-              if certified report then begin
+              if Analyze.certified report then begin
                 let restricted =
                   Chase.run ~budget Chase.Restricted c.Zoo.Families.kb
                 in
@@ -134,7 +134,7 @@ let test_no_false_certificates () =
             Alcotest.(check bool)
               (Printf.sprintf "%s (diverging) is not certified"
                  c.Zoo.Families.name)
-              false (certified report))
+              false (Analyze.certified report))
         (all_cases ~scale))
     scales
 
@@ -151,12 +151,12 @@ let test_termination_mutants_not_certified () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s not falsely certified"
                    m.Zoo.Families.case.Zoo.Families.name)
-                false (certified report);
+                false (Analyze.certified report);
               Alcotest.(check bool)
                 (Printf.sprintf "%s parent is certified"
                    m.Zoo.Families.parent.Zoo.Families.name)
                 true
-                (certified (Analyze.analyze ~budget m.Zoo.Families.parent.Zoo.Families.kb))
+                (Analyze.certified (Analyze.analyze ~budget m.Zoo.Families.parent.Zoo.Families.kb))
           | Zoo.Families.Klass _ -> ())
         (Zoo.Families.mutants ~scale ()))
     scales
@@ -293,11 +293,11 @@ let test_egds_route_to_core () =
   in
   let report = Analyze.analyze ~budget kb in
   Alcotest.(check string) "EGD KB verdict capped at unknown" "unknown"
-    (Analyze.verdict_name report.Analyze.verdict);
+    (Analyze.verdict_name (Analyze.verdict report));
   Alcotest.(check bool) "egds:present criterion recorded" true
     (List.exists
        (fun (c : Analyze.criterion) -> c.Analyze.name = "egds:present" && c.holds)
-       report.Analyze.criteria);
+       (Analyze.criteria report));
   Alcotest.(check string) "EGD KB routes to core" "core" (route_name kb)
 
 let test_verdict_lattice () =
@@ -305,6 +305,172 @@ let test_verdict_lattice () =
     [ 0; 1; 2; 3 ]
     (List.map Analyze.verdict_rank
        Analyze.[ Unknown; Bts; Terminates_restricted; Terminates_all ])
+
+(* ------------------------------------------------------------------ *)
+(* (f) lazy report ≡ eager reference; routing stops at the first
+   criterion that decides *)
+
+module Ref = Reference.Analyze_ref
+
+(* the seeds the props law "analyzer respects the class lattice" draws
+   first, with its budget *)
+let random_budget = { Chase.Variants.max_steps = 60; max_atoms = 1_500 }
+
+let random_kbs n =
+  let rng =
+    Random.State.make
+      [| 0x5eed; Hashtbl.hash "analyzer respects the class lattice" |]
+  in
+  let rec go i =
+    if i = n then []
+    else
+      let seed = Random.State.int rng 1_000_000 in
+      let kb = Zoo.Randomkb.generate ~seed Zoo.Randomkb.default in
+      (Printf.sprintf "random seed %d" seed, kb) :: go (i + 1)
+  in
+  go 0
+
+let rank_certified_reason =
+  "termination certified (terminates-restricted): restricted chase suffices"
+
+(* Every accessor is read from a cold report, so each is checked with
+   exactly the probes it forces itself. *)
+let agrees_with_reference ~budget (name, kb) =
+  let reference = Ref.analyze ~budget kb in
+  let fresh () = Analyze.analyze ~budget kb in
+  let ref_choice, ref_reason = Ref.route_of_report kb reference in
+  let routed = fresh () in
+  let choice, reason = Analyze.route_of_report kb routed in
+  Alcotest.(check string) (name ^ ": route")
+    (Chase.engine_name ref_choice) (Chase.engine_name choice);
+  (* the one permitted difference: a route certified by the rank probe
+     alone does not run the skolem probe, so it cannot name
+     terminates-all *)
+  if reason <> ref_reason then begin
+    let holds n =
+      List.exists
+        (fun (c : Analyze.criterion) -> c.Analyze.name = n && c.holds)
+        reference.Ref.criteria
+    in
+    Alcotest.(check bool)
+      (name ^ ": certified by the rank probe alone")
+      true
+      (holds "ranks:instance-fixpoint"
+      && not
+           (List.exists holds
+              [ "classes:datalog"; "classes:acyclicity"; "grd:datalog-cycles" ]));
+    Alcotest.(check (pair string string))
+      (name ^ ": route reason without the skolem probe")
+      ("terminates-all", rank_certified_reason)
+      (Analyze.verdict_name reference.Ref.verdict, reason)
+  end;
+  Alcotest.(check string) (name ^ ": verdict")
+    (Analyze.verdict_name reference.Ref.verdict)
+    (Analyze.verdict_name (Analyze.verdict (fresh ())));
+  Alcotest.(check bool) (name ^ ": certified") (Ref.certified reference)
+    (Analyze.certified (fresh ()));
+  let trail = Fmt.str "%a" Ref.pp_report reference in
+  Alcotest.(check string) (name ^ ": trail") trail
+    (Fmt.str "%a" Analyze.pp_report (fresh ()));
+  Alcotest.(check string) (name ^ ": trail after routing") trail
+    (Fmt.str "%a" Analyze.pp_report routed);
+  Alcotest.(check string) (name ^ ": json") (Ref.to_json kb reference)
+    (Analyze.to_json kb (fresh ()))
+
+let named_cases ~scale =
+  List.map (fun (c : Zoo.Families.case) -> (c.Zoo.Families.name, c.Zoo.Families.kb))
+    (all_cases ~scale)
+
+(* the tight budget stops the rank probe on braked-walk while its skolem
+   probe still reaches a fixpoint: there the skolem probe, last in cost
+   order, is what certifies *)
+let test_zoo_agrees_with_reference () =
+  let tight = { Chase.Variants.max_steps = 5; max_atoms = 3_000 } in
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun scale ->
+          List.iter (agrees_with_reference ~budget) (named_cases ~scale))
+        scales)
+    [ budget; tight ]
+
+let test_random_agrees_with_reference () =
+  List.iter (agrees_with_reference ~budget:random_budget) (random_kbs 100)
+
+(* serve's ANALYZE (default budget) prints the reference trail and
+   route line byte for byte *)
+let test_serve_analyze_agrees_with_reference () =
+  List.iter
+    (fun name ->
+      let kb = (find_case name).Zoo.Families.kb in
+      let text =
+        Fmt.str "%a" Dlgp.print_document
+          { Dlgp.facts = Kb.facts kb; rules = Kb.rules kb; egds = Kb.egds kb;
+            queries = []; constraints = [] }
+      in
+      let kb =
+        match Dlgp.parse_kb text with
+        | Ok kb -> kb
+        | Error e -> Alcotest.failf "%s: %a" name Dlgp.pp_error e
+      in
+      let reference = Ref.analyze kb in
+      let choice, reason = Ref.route_of_report kb reference in
+      let expected =
+        Fmt.str "%a@.route: %s (%s)" Ref.pp_report reference
+          (Chase.engine_name choice) reason
+      in
+      let l = Server.Loopback.create () in
+      let request s =
+        match Server.Protocol.parse_request s with
+        | Ok r -> Server.Loopback.request l r
+        | Error e -> Alcotest.failf "%s: %s" s e
+      in
+      ignore (request "OPEN s");
+      ignore (request ("LOAD s inline\n" ^ text));
+      let data =
+        List.filter_map
+          (fun (f : Server.Protocol.frame) ->
+            if f.Server.Protocol.kind = Server.Protocol.K_data then
+              Some f.Server.Protocol.payload
+            else None)
+          (request "ANALYZE s")
+      in
+      Alcotest.(check string) (name ^ ": serve ANALYZE") expected
+        (String.concat "" data))
+    [ "datalog-clique-3"; "wa-ladder-3"; "linear-twist-3"; "braked-walk-3";
+      "fg-braid-3-mut" ]
+
+let probes_of f =
+  Obs.Metrics.enabled := true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.enabled := false) @@ fun () ->
+  let before = Obs.Metrics.counter_value "analyze.probes" in
+  let x = f () in
+  (x, Obs.Metrics.counter_value "analyze.probes" - before)
+
+let test_routing_probe_counts () =
+  List.iter
+    (fun (name, kb) ->
+      let c = Rclasses.analyze (Kb.rules kb) in
+      if
+        c.Rclasses.datalog || c.Rclasses.weakly_acyclic
+        || c.Rclasses.jointly_acyclic || c.Rclasses.agrd_sound
+      then
+        Alcotest.(check int) (name ^ ": routing runs no probe") 0
+          (snd (probes_of (fun () -> Analyze.route ~budget kb))))
+    (named_cases ~scale:3);
+  let twist = (find_case "linear-twist-3").Zoo.Families.kb in
+  let (choice, reason), n =
+    probes_of (fun () ->
+        Analyze.route_of_report twist (Analyze.analyze ~budget twist))
+  in
+  Alcotest.(check string) "twist routes restricted" "restricted"
+    (Chase.engine_name choice);
+  Alcotest.(check string) "twist reason" rank_certified_reason reason;
+  Alcotest.(check int) "routing twist runs the rank probe only" 1 n;
+  Alcotest.(check int) "the full trail on twist runs 4 probes" 4
+    (snd
+       (probes_of (fun () ->
+            ignore (Analyze.criteria (Analyze.analyze ~budget twist)))))
 
 let suites =
   [
@@ -336,5 +502,16 @@ let suites =
           test_routing_policy_pinned;
         Alcotest.test_case "EGDs route to core" `Quick test_egds_route_to_core;
         Alcotest.test_case "verdict lattice ranks" `Quick test_verdict_lattice;
+      ] );
+    ( "analyze.reference",
+      [
+        Alcotest.test_case "zoo agrees with the eager fold" `Quick
+          test_zoo_agrees_with_reference;
+        Alcotest.test_case "random KBs agree with the eager fold" `Quick
+          test_random_agrees_with_reference;
+        Alcotest.test_case "routing runs only the probes it needs" `Quick
+          test_routing_probe_counts;
+        Alcotest.test_case "serve ANALYZE agrees with the eager fold" `Quick
+          test_serve_analyze_agrees_with_reference;
       ] );
   ]

@@ -664,9 +664,9 @@ let analyzer_lattice_respected seed =
   && implies c.Rclasses.guarded c.Rclasses.weakly_guarded
   && implies c.Rclasses.frontier_guarded c.Rclasses.weakly_frontier_guarded
   && implies (Rclasses.implies_fes c)
-       (r.Analyze.verdict = Analyze.Terminates_all)
+       (Analyze.verdict r = Analyze.Terminates_all)
   && implies (Rclasses.implies_bts c)
-       (Analyze.verdict_rank r.Analyze.verdict
+       (Analyze.verdict_rank (Analyze.verdict r)
        >= Analyze.verdict_rank Analyze.Bts)
 
 (* Law 14: analyzer certificates are sound on random KBs — whenever the
@@ -677,10 +677,7 @@ let analyzer_lattice_respected seed =
 let analyzer_certificate_sound seed =
   let kb = Zoo.Randomkb.generate ~seed Zoo.Randomkb.default in
   let r = Analyze.analyze ~budget:analyze_budget kb in
-  if
-    Analyze.verdict_rank r.Analyze.verdict
-    >= Analyze.verdict_rank Analyze.Terminates_restricted
-  then
+  if Analyze.certified r then
     Resilience.terminated (Chase.run ~budget:analyze_budget Chase.Restricted kb).Chase.outcome
   else true
 

@@ -177,6 +177,59 @@ let with_faults spec f =
   Resilience.Fault.set_spec spec;
   Fun.protect ~finally:Resilience.Fault.clear f
 
+(* The datalog engine stops between rounds like the others: a
+   transitive closure over a 12-edge chain needs several rounds, so a
+   token tripped before or during saturation leaves a completed round
+   short of the fixpoint.  [Analyze.route] is checked on the same KB
+   so the --engine auto path is the one under test. *)
+let kb_tc_chain () =
+  let x = Term.fresh_var ~hint:"X" () and y = Term.fresh_var ~hint:"Y" ()
+  and z = Term.fresh_var ~hint:"Z" () in
+  Kb.of_lists
+    ~facts:
+      (List.init 12 (fun i ->
+           atom "e"
+             [ Term.const (Printf.sprintf "n%d" i);
+               Term.const (Printf.sprintf "n%d" (i + 1)) ]))
+    ~rules:
+      [ Rule.make ~name:"trans" ~body:[ atom "e" [ x; y ]; atom "e" [ y; z ] ]
+          ~head:[ atom "e" [ x; z ] ] () ]
+
+let test_datalog_engine_token () =
+  reset ();
+  let kb = kb_tc_chain () in
+  let choice = Analyze.route kb in
+  Alcotest.(check string) "routed to datalog" "datalog"
+    (Chase.engine_name choice);
+  let rounds = Chase.Datalog.rounds (Kb.rules kb) (Kb.facts kb) in
+  Alcotest.(check bool) "several rounds" true (List.length rounds > 3);
+  let expired = Resilience.Token.create ~deadline_s:0.0 () in
+  let r = Chase.run_engine ~token:expired choice kb in
+  Alcotest.(check string) "deadline" "deadline"
+    (Resilience.outcome_name r.Chase.outcome);
+  Alcotest.(check bool) "final = facts" true
+    (Atomset.equal r.Chase.final (Kb.facts kb));
+  Alcotest.(check int) "no steps" 0 r.Chase.steps;
+  (* cancelled at the start of round 3: rounds 1 and 2 completed *)
+  let token = Resilience.Token.create () in
+  let r =
+    with_faults "round:3:cancel" (fun () ->
+        Chase.run_engine ~token choice kb)
+  in
+  Alcotest.(check string) "cancelled" "cancelled"
+    (Resilience.outcome_name r.Chase.outcome);
+  Alcotest.(check bool) "final = last completed round" true
+    (Atomset.equal r.Chase.final (List.nth rounds 2));
+  let cancelled = Resilience.Token.create () in
+  Resilience.Token.cancel cancelled;
+  Alcotest.(check string) "pre-cancelled token" "cancelled"
+    (Resilience.outcome_name
+       (Chase.run_engine ~token:cancelled choice kb).Chase.outcome);
+  let free = Chase.run_engine choice kb in
+  Alcotest.(check bool) "no token: fixpoint" true
+    (Resilience.terminated free.Chase.outcome
+    && Atomset.equal free.Chase.final (List.nth rounds (List.length rounds - 1)))
+
 let test_fault_kinds () =
   List.iter
     (fun (spec, expected) ->
@@ -463,6 +516,7 @@ let suites =
         tc "pre-expired deadline" test_pre_expired_deadline;
         tc "baselines and egds" test_baselines_and_egds_boundaries;
         tc "cancellation mid-run" test_cancellation_mid_run;
+        tc "datalog engine honours the token" test_datalog_engine_token;
       ] );
     ( "resilience.faults",
       [
