@@ -11,12 +11,11 @@
     so we enumerate them (Bell(k) partitions for arity [k ≤ ]{!max_arity})
     and run a budgeted restricted chase from each.
 
-    All probes reaching [Fixpoint] certifies restricted-chase
-    termination from every atomic instance under the engine's fair
-    round-based strategy; the analyzer combines this with the
-    instance-level {!Ranks} fixpoint before certifying a verdict, so a
-    strategy-sensitive ruleset can never be certified by this probe
-    alone. *)
+    All probes reaching [Fixpoint] shows restricted-chase termination
+    from every atomic instance under the engine's fair round-based
+    strategy only.  The analyzer prints the result as justification and
+    never certifies a verdict from it, so a strategy-sensitive ruleset
+    can never be certified by this probe. *)
 
 open Syntax
 
